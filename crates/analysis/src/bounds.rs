@@ -75,16 +75,6 @@ impl KernelModel {
         }
     }
 
-    /// The model a plan must certify under to run at the given
-    /// execution tier: the reference tier is the scalar oracle itself
-    /// (zero divergence), the fast tier is the f32x8+FMA kernels.
-    pub fn for_tier(tier: rd_tensor::Tier) -> Self {
-        match tier {
-            rd_tensor::Tier::Reference => Self::reference(),
-            rd_tensor::Tier::Fast => Self::f32x8_fma(),
-        }
-    }
-
     fn divergent(&self) -> bool {
         self.reassociates || self.fma
     }

@@ -232,7 +232,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         println!("    FAIL {m}");
     }
 
-    // --- JSON for scripts/perf_trajectory.sh -------------------------
+    // --- JSON report (--out) ------------------------------------------
     let plans_json: Vec<String> = reports
         .iter()
         .map(|r| {

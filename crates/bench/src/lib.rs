@@ -9,8 +9,7 @@
 //! * [`compare`] — qualitative "shape" checks (orderings, crossovers)
 //!   between a measured table and its paper counterpart.
 //! * `src/bin/repro_table*.rs` — binaries that regenerate each table.
-//! * `src/bin/{bench_substrate,plan_audit}.rs` — the substrate
-//!   benchmark with its bitwise gates, and the static plan audit.
+//! * `src/bin/plan_audit.rs` — the static plan audit.
 
 #![warn(missing_docs)]
 
@@ -489,29 +488,6 @@ pub fn setup_substrate() -> Result<(), String> {
         rd_tensor::profile::set_enabled(true);
     }
     Ok(())
-}
-
-/// Renders the current runtime configuration as a JSON object fragment
-/// — worker threads requested and effective (after the host clamp), the
-/// execution tier, and the supervision knobs (`--deadline-secs`,
-/// `--max-retries`) — so every benchmark section records the exact
-/// runtime shape it measured under.
-///
-/// # Errors
-///
-/// Returns a message for malformed supervision flag values.
-pub fn runtime_config_json() -> Result<String, String> {
-    let deadline_secs: u64 = arg("--deadline-secs", 0)?;
-    let max_retries: u32 = arg("--max-retries", 0)?;
-    Ok(format!(
-        "{{ \"threads_requested\": {}, \"threads_effective\": {}, \"tier\": \"{}\", \
-         \"deadline_secs\": {}, \"max_retries\": {} }}",
-        rd_tensor::parallel::requested_max_threads(),
-        rd_tensor::parallel::max_threads(),
-        rd_tensor::tier::current().label(),
-        deadline_secs,
-        max_retries,
-    ))
 }
 
 /// Prints the per-op profiler report when `--profile` is on; with

@@ -335,8 +335,8 @@ fn eval_frame(
     // TrainPlan with parameter-gradient work skipped and bridges the
     // image gradient back onto this tape through one custom node; audit
     // runs force the tape so lint/provenance see the full graph. Both
-    // routes are bitwise-identical (asserted in tests, gated in
-    // bench_substrate).
+    // routes are bitwise-identical (asserted in
+    // `compiled_attack_matches_tape_bitwise`).
     let use_compiled = ctx.cfg.compiled && !ctx.cfg.audit && !lint_tape;
     let lf = if use_compiled {
         if job.cc.is_empty() && job.fc.is_empty() {
@@ -1134,6 +1134,7 @@ pub fn deploy(decal: &Decal, scenario: &AttackScenario) -> Deployment {
 mod tests {
     use super::*;
     use rd_scene::CameraRig;
+    use rd_tensor::RuntimeConfig;
 
     #[test]
     fn config_arithmetic() {
@@ -1195,14 +1196,24 @@ mod tests {
                 ..base
             },
         );
-        let compiled = train_decal_attack(
-            &scenario,
-            &detector,
-            &mut ps_det,
-            &AttackConfig {
+        // the compiled run goes through a profiling runtime: its plan's
+        // ops must land in the profiler under `train/...` paths
+        let profiled = Runtime::new(RuntimeConfig {
+            profiling: true,
+            ..RuntimeConfig::default()
+        });
+        let (compiled, paths) = profiled.enter(|| {
+            let cfg = AttackConfig {
                 compiled: true,
                 ..base
-            },
+            };
+            let out = train_decal_attack(&scenario, &detector, &mut ps_det, &cfg);
+            (out, rd_tensor::profile::snapshot())
+        });
+        assert!(
+            paths.iter().any(|(path, _)| path.starts_with("train/")),
+            "the profiler recorded no train/ op: {:?}",
+            paths.iter().map(|(path, _)| path).collect::<Vec<_>>()
         );
         // NaN-safe bitwise comparison (a no-victim batch records NaN)
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -1,32 +1,30 @@
 //! Challenge evaluation: drive (or shake) the camera, film the decals,
 //! run the detector per frame, and score PWC / CWC.
 //!
-//! Since PR 9 the default execution path is the bounded-memory streaming
-//! pipeline in [`crate::stream`]: frames are rendered, inferred and
-//! scored in fixed 16-frame chunks with render/inference overlap, so
-//! peak live frames are O(chunk) instead of O(drive length). The
-//! original materialize-then-batch path survives here as the *reference
-//! oracle* behind [`EvalMode::Buffered`]; both paths draw the per-run
-//! RNG in the same order and batch the same 16-frame groups, so their
-//! results are bitwise-identical at any thread count and on either
-//! execution tier (enforced by tests and `bench_substrate`).
+//! [`evaluate_challenge`] runs the bounded-memory streaming pipeline in
+//! [`crate::stream`]: frames are rendered, inferred and scored in fixed
+//! 16-frame chunks with render/inference overlap, so peak live frames
+//! are O(chunk) instead of O(drive length). The crate's unit tests keep
+//! a materialize-then-batch *reference oracle* that draws the per-run
+//! RNG in the same order (`run_rng`) and batches the same 16-frame
+//! groups; streamed and buffered evaluation are held bitwise-identical
+//! at any thread count and on either execution tier.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rd_detector::{has_consecutive, postprocess_into, DecodeBuffers, Detection, TinyYolo};
+use rd_detector::{Detection, TinyYolo};
 use rd_scene::{
-    approach_poses, rotation_poses, AngleSetting, ApproachConfig, CameraPose, CaptureDraws,
-    ObjectClass, PhysicalChannel, RotationSetting, Speed,
+    approach_poses, rotation_poses, AngleSetting, ApproachConfig, CameraPose, ObjectClass,
+    PhysicalChannel, RotationSetting, Speed,
 };
-use rd_tensor::{runtime, ParamSet, Runtime};
+use rd_tensor::ParamSet;
 use rd_vision::compose::{mask_on_image, paste_plane_alpha, paste_rgb_map};
 use rd_vision::Image;
 
 use crate::attack::Deployment;
 use crate::decal::Decal;
-use crate::metrics::{Cell, OutcomeAccumulator};
-use crate::render::FrameRenderer;
+use crate::metrics::Cell;
 use crate::scenario::AttackScenario;
 use crate::stream;
 
@@ -121,19 +119,6 @@ impl Challenge {
     }
 }
 
-/// Which execution path scores a challenge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// The bounded-memory pipeline: render, infer and score in
-    /// overlapping 16-frame chunks ([`crate::stream`]). The default.
-    #[default]
-    Streamed,
-    /// The reference oracle: materialize every frame of a run, then
-    /// batch. Kept for the bitwise streamed-vs-buffered gate; its peak
-    /// live memory grows with the drive length.
-    Buffered,
-}
-
 /// Evaluation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalConfig {
@@ -156,8 +141,6 @@ pub struct EvalConfig {
     /// Minimum IoU with the victim's ground-truth box for a detection
     /// to count as a classification of the victim.
     pub victim_iou: f32,
-    /// Streaming pipeline or the buffered reference oracle.
-    pub mode: EvalMode,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -175,7 +158,6 @@ impl EvalConfig {
             conf_threshold: 0.35,
             nms_threshold: 0.45,
             victim_iou: 0.1,
-            mode: EvalMode::Streamed,
             seed,
         }
     }
@@ -208,7 +190,6 @@ impl EvalConfig {
             conf_threshold: 0.35,
             nms_threshold: 0.45,
             victim_iou: 0.1,
-            mode: EvalMode::Streamed,
             seed,
         }
     }
@@ -282,7 +263,7 @@ pub(crate) fn run_rng(cfg: &EvalConfig, run: usize) -> StdRng {
     StdRng::seed_from_u64(cfg.seed ^ (run as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
-/// Per-frame probe used by the bitwise streamed-vs-buffered gate:
+/// Per-frame probe used by the bitwise streamed-vs-buffered test:
 /// called once per scored frame, in frame order, with the run index,
 /// the frame index within the run, the frame's post-NMS detections and
 /// the victim classification derived from them.
@@ -291,10 +272,9 @@ pub(crate) type FrameObserver<'a> = dyn FnMut(usize, usize, &[Detection], Option
 /// Evaluates a decal set under one challenge. `decals` may be empty (the
 /// "w/o attack" row).
 ///
-/// Dispatches on [`EvalConfig::mode`]: the streaming pipeline by
-/// default, the buffered reference oracle behind
-/// [`EvalMode::Buffered`]. The two are bitwise-identical (same 16-frame
-/// batch groups, same per-run RNG draw order).
+/// Scores the drive through the streaming pipeline
+/// ([`stream::evaluate_streamed`], which also reports pipeline
+/// statistics).
 ///
 /// Runs on the caller's current runtime and honors its cancellation
 /// state: at every frame-rendering and inference-batch boundary the
@@ -311,210 +291,7 @@ pub fn evaluate_challenge(
     challenge: Challenge,
     cfg: &EvalConfig,
 ) -> ChallengeOutcome {
-    let mut ignore = |_: usize, _: usize, _: &[Detection], _: Option<ObjectClass>| {};
-    match cfg.mode {
-        EvalMode::Streamed => {
-            stream::evaluate_streamed(scenario, decals, model, ps, target, challenge, cfg).outcome
-        }
-        EvalMode::Buffered => evaluate_buffered(
-            scenario,
-            decals,
-            model,
-            ps,
-            target,
-            challenge,
-            cfg,
-            &mut ignore,
-        ),
-    }
-}
-
-/// One decoded frame of a traced evaluation — the unit the bitwise
-/// streamed-vs-buffered gate compares.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameTrace {
-    /// Run the frame belongs to.
-    pub run: usize,
-    /// Frame index within the run.
-    pub frame: usize,
-    /// Victim classification for the frame.
-    pub class: Option<ObjectClass>,
-    /// Every post-NMS detection on the frame.
-    pub detections: Vec<Detection>,
-}
-
-/// [`evaluate_challenge`] with a full per-frame trace: every post-NMS
-/// detection and victim classification, in scoring order. This is the
-/// probe the bitwise streamed-vs-buffered gate is built on — comparing
-/// two traces compares *per-frame detections*, not just the folded
-/// PWC/CWC. `mode` overrides [`EvalConfig::mode`].
-pub fn evaluate_challenge_traced(
-    scenario: &AttackScenario,
-    decals: &Deployment,
-    model: &TinyYolo,
-    ps: &ParamSet,
-    target: ObjectClass,
-    challenge: Challenge,
-    cfg: &EvalConfig,
-    mode: EvalMode,
-) -> (ChallengeOutcome, Vec<FrameTrace>) {
-    let mut trace = Vec::new();
-    let mut record = |run: usize, frame: usize, dets: &[Detection], class: Option<ObjectClass>| {
-        trace.push(FrameTrace {
-            run,
-            frame,
-            class,
-            detections: dets.to_vec(),
-        });
-    };
-    let cfg = EvalConfig { mode, ..*cfg };
-    let outcome = match mode {
-        EvalMode::Streamed => {
-            stream::evaluate_streamed_observed(
-                scenario,
-                decals,
-                model,
-                ps,
-                target,
-                challenge,
-                &cfg,
-                &mut record,
-            )
-            .outcome
-        }
-        EvalMode::Buffered => evaluate_buffered(
-            scenario,
-            decals,
-            model,
-            ps,
-            target,
-            challenge,
-            &cfg,
-            &mut record,
-        ),
-    };
-    (outcome, trace)
-}
-
-/// The materialize-then-batch reference oracle: renders every frame of a
-/// run into a `Vec<Image>`, then infers in 16-frame batches and scores
-/// the buffered history with [`has_consecutive`]. Peak live memory is
-/// O(drive length); kept (behind [`EvalMode::Buffered`]) purely as the
-/// ground truth the streaming pipeline is gated against. Rendering goes
-/// through the pose-keyed [`FrameRenderer`] fast path with capture
-/// randomness pre-sampled in frame order — bitwise-identical to calling
-/// [`render_attacked_frame`] per frame (see [`crate::render`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_buffered(
-    scenario: &AttackScenario,
-    decals: &Deployment,
-    model: &TinyYolo,
-    ps: &ParamSet,
-    target: ObjectClass,
-    challenge: Challenge,
-    cfg: &EvalConfig,
-    observer: &mut FrameObserver<'_>,
-) -> ChallengeOutcome {
-    let mut acc = OutcomeAccumulator::new();
-    let renderer = FrameRenderer::new(scenario);
-    // decode scratch shared across every batch of the whole evaluation
-    let mut decode_bufs = DecodeBuffers::default();
-    let mut dets: Vec<Vec<Detection>> = Vec::new();
-    for run in 0..cfg.runs {
-        let mut rng = run_rng(cfg, run);
-        // each run prints fresh physical decals (per-print variation)
-        let printed: Vec<Decal> = decals
-            .iter()
-            .map(|d| d.print(&cfg.channel.print, &mut rng))
-            .collect();
-        let poses = challenge.poses(cfg, &mut rng);
-        let motion = challenge.motion_m_per_frame(cfg.fps);
-        // pre-sample capture randomness in frame order: same RNG stream
-        // as drawing inside each render call
-        let draws: Vec<CaptureDraws> = poses
-            .iter()
-            .map(|_| {
-                cfg.channel
-                    .capture
-                    .sample_draws(scenario.rig.image_hw, &mut rng)
-            })
-            .collect();
-        let mut history: Vec<Option<ObjectClass>> = Vec::with_capacity(poses.len());
-        // render all frames, then run the detector in batches
-        let mut frames = Vec::with_capacity(poses.len());
-        let mut victims = Vec::with_capacity(poses.len());
-        for (pose, frame_draws) in poses.iter().zip(&draws) {
-            runtime::check_cancelled_or_unwind();
-            frames.push(renderer.render(scenario, &printed, pose, cfg, motion, frame_draws));
-            victims.push(scenario.victim_box(pose));
-        }
-        for d in draws {
-            d.recycle();
-        }
-        for (chunk, vchunk) in frames
-            .chunks(stream::BATCH_FRAMES)
-            .zip(victims.chunks(stream::BATCH_FRAMES))
-        {
-            runtime::check_cancelled_or_unwind();
-            let batch = Image::batch_to_tensor(chunk);
-            let (coarse, fine) = model.infer(ps, &batch);
-            postprocess_into(
-                &coarse,
-                &fine,
-                model.config().num_classes,
-                cfg.conf_threshold,
-                cfg.nms_threshold,
-                &mut decode_bufs,
-                &mut dets,
-            );
-            // hand the batch and head buffers back to the arena so the
-            // next chunk reuses them instead of allocating fresh
-            rd_tensor::arena::recycle(batch.into_vec());
-            rd_tensor::arena::recycle(coarse.into_vec());
-            rd_tensor::arena::recycle(fine.into_vec());
-            for (dlist, victim) in dets.iter().zip(vchunk) {
-                let class = victim
-                    .as_ref()
-                    .and_then(|v| classify_victim(dlist, v, cfg.victim_iou));
-                observer(run, history.len(), dlist, class);
-                acc.push_frame(class.is_some());
-                history.push(class);
-            }
-        }
-        // frame buffers come from the arena (FrameRenderer); hand them
-        // back so the next run re-renders into the same memory
-        for f in frames {
-            rd_tensor::arena::recycle(f.into_vec());
-        }
-        let hits = history.iter().filter(|&&c| c == Some(target)).count();
-        let cell = Cell {
-            pwc: hits as f32 / history.len().max(1) as f32,
-            cwc: has_consecutive(&history, target, CONFIRM_WINDOW),
-        };
-        acc.finish_run(cell, history.len());
-    }
-    ChallengeOutcome {
-        cell: acc.cell(),
-        frames_per_run: acc.frames_per_run(),
-        victim_detected: acc.victim_rate(),
-    }
-}
-
-/// [`evaluate_challenge`] pinned to an explicit [`Runtime`]: the whole
-/// evaluation (kernels, arena traffic, cancellation checks) runs under
-/// `rt` regardless of the caller's current runtime.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_challenge_in(
-    rt: &Runtime,
-    scenario: &AttackScenario,
-    decals: &Deployment,
-    model: &TinyYolo,
-    ps: &ParamSet,
-    target: ObjectClass,
-    challenge: Challenge,
-    cfg: &EvalConfig,
-) -> ChallengeOutcome {
-    rt.enter(|| evaluate_challenge(scenario, decals, model, ps, target, challenge, cfg))
+    stream::evaluate_streamed(scenario, decals, model, ps, target, challenge, cfg).outcome
 }
 
 /// Evaluates the clean scene ("w/o attack" rows): same pipeline, no

@@ -1,7 +1,7 @@
 //! Shared experiment environment: scale selection and the trained victim
 //! detector (cached on disk so the six table binaries don't retrain it).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,11 +76,17 @@ impl Scale {
         }
     }
 
-    /// The weight-cache file for this scale.
-    pub fn cache_path(self) -> std::path::PathBuf {
-        std::path::PathBuf::from(match self {
-            Scale::Smoke => "out/detector_smoke.rdw",
-            Scale::Paper => "out/detector_paper.rdw",
+    /// The weight-cache file for this scale, in the workspace root's
+    /// `out/` whatever the working directory (`cargo test` runs each
+    /// package's tests from that package's own directory).
+    pub fn cache_path(self) -> PathBuf {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("the crate sits two levels below the workspace root");
+        root.join("out").join(match self {
+            Scale::Smoke => "detector_smoke.rdw",
+            Scale::Paper => "detector_paper.rdw",
         })
     }
 }
@@ -366,6 +372,15 @@ mod tests {
         );
         assert_eq!(opts.checkpoint_every, 5);
         assert!(opts.resume);
+    }
+
+    #[test]
+    fn weight_cache_is_anchored_at_the_workspace_root() {
+        // unit tests run from crates/core; the cache must not follow
+        let path = Scale::Smoke.cache_path();
+        let root = path.parent().and_then(Path::parent).unwrap();
+        assert!(root.join("Cargo.lock").is_file(), "{}", path.display());
+        assert_eq!(path.file_name().unwrap(), "detector_smoke.rdw");
     }
 
     #[test]

@@ -46,6 +46,8 @@ pub mod baseline;
 pub mod decal;
 pub mod defense;
 pub mod eval;
+#[cfg(test)]
+mod eval_oracle;
 pub mod experiments;
 pub mod fault;
 pub mod metrics;
@@ -61,10 +63,7 @@ pub use attack::{
 pub use baseline::{train_baseline_patch, BaselineConfig, BaselinePatch};
 pub use decal::Decal;
 pub use defense::{evaluate_defense, Defense, DefenseOutcome};
-pub use eval::{
-    evaluate_challenge, evaluate_challenge_traced, evaluate_clean, Challenge, ChallengeOutcome,
-    EvalConfig, EvalMode, FrameTrace,
-};
+pub use eval::{evaluate_challenge, evaluate_clean, Challenge, ChallengeOutcome, EvalConfig};
 pub use fault::{CorruptMode, FaultPlan, TierDriftInfo};
 pub use metrics::{Cell, Table};
 pub use render::{FrameRenderer, RenderCacheStats};

@@ -27,8 +27,9 @@
 //! * capture randomness is pre-sampled in the exact draw order of the
 //!   interleaved path ([`CaptureModel::sample_draws`]).
 //!
-//! The property test `render_fastpath.rs` and the `bench_substrate`
-//! `--render-out` gate enforce this end to end on both SIMD backends.
+//! The tests in `render_fastpath.rs` enforce this end to end on both
+//! SIMD backends: a property test of cached against fresh rendering,
+//! and a frozen copy of the seed-era renderer that both must match.
 //!
 //! # Sharing
 //!

@@ -1,6 +1,6 @@
 //! Bounded-memory streaming evaluation: the render→infer→score pipeline
-//! behind [`EvalMode::Streamed`](crate::eval::EvalMode), plus the
-//! fleet driver that scales it to thousands of supervised drives.
+//! behind [`evaluate_challenge`](crate::eval::evaluate_challenge), plus
+//! the fleet driver that scales it to thousands of supervised drives.
 //!
 //! # Pipeline
 //!
@@ -28,14 +28,16 @@
 //! channel double-buffers the two stages: while the consumer infers
 //! chunk *k*, the producer renders chunk *k+1*, and peak live frames are
 //! bounded by one chunk pair (2 × [`BATCH_FRAMES`]) regardless of drive
-//! length — the buffered reference path materializes the whole drive
-//! instead.
+//! length — the buffered reference oracle in the crate's tests
+//! materializes the whole drive instead.
 //!
 //! # Bitwise contract
 //!
 //! A streamed evaluation must equal the buffered oracle bit for bit —
 //! PWC, CWC, victim rate and every per-frame detection — at any thread
-//! count and on both execution tiers. Three invariants carry it:
+//! count, on both execution tiers and on noiseless and noise-bearing
+//! capture channels (the crate's unit tests hold it). Three invariants
+//! carry it:
 //!
 //! 1. **Same groups**: the chunk size equals the buffered path's batch
 //!    size ([`BATCH_FRAMES`]), so the model sees identical batches.
@@ -80,7 +82,7 @@ use crate::runner::{RunnerError, RunnerReport};
 use crate::scenario::AttackScenario;
 use crate::supervisor::{run_fleet, JobReport, JobSpec};
 
-/// Frames per pipeline chunk — identical to the buffered path's
+/// Frames per pipeline chunk — identical to the buffered oracle's
 /// inference batch size, which is what makes the two paths produce the
 /// same batch groups (bitwise contract, invariant 1).
 pub const BATCH_FRAMES: usize = 16;
@@ -100,16 +102,15 @@ pub struct StreamStats {
 /// A streamed evaluation's outcome plus its pipeline statistics.
 #[derive(Debug, Clone)]
 pub struct StreamedEval {
-    /// The challenge outcome — bitwise-identical to the buffered path's.
+    /// The challenge outcome — bitwise-identical to the buffered oracle's.
     pub outcome: ChallengeOutcome,
     /// Pipeline statistics for the memory-bound assertions.
     pub stats: StreamStats,
 }
 
-/// Evaluates a challenge through the streaming pipeline. Semantics are
-/// identical to [`crate::eval::evaluate_challenge`] (which dispatches
-/// here by default); this entry point additionally reports
-/// [`StreamStats`] for the bounded-memory gate.
+/// Evaluates a challenge through the streaming pipeline. This is what
+/// [`crate::eval::evaluate_challenge`] runs; this entry point
+/// additionally reports [`StreamStats`] for the bounded-memory gate.
 pub fn evaluate_streamed(
     scenario: &AttackScenario,
     decals: &Deployment,
@@ -135,7 +136,8 @@ pub fn evaluate_streamed(
 /// One chunk crossing the render→infer boundary.
 type Chunk = (Vec<Image>, Vec<Option<GtBox>>);
 
-/// [`evaluate_streamed`] with the per-frame probe the bitwise gate uses.
+/// [`evaluate_streamed`] with the per-frame probe the bitwise oracle
+/// test uses.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_streamed_observed(
     scenario: &AttackScenario,
@@ -149,7 +151,7 @@ pub(crate) fn evaluate_streamed_observed(
 ) -> StreamedEval {
     let mut acc = OutcomeAccumulator::new();
     // decode scratch shared across every batch of the whole evaluation,
-    // exactly like the buffered path
+    // exactly like the buffered oracle
     let mut decode_bufs = DecodeBuffers::default();
     let mut dets: Vec<Vec<Detection>> = Vec::new();
     let mut stats = StreamStats::default();

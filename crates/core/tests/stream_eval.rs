@@ -1,19 +1,19 @@
-//! Gates on the streaming evaluation pipeline (PR 9): the streamed path
-//! must be bitwise-identical to the buffered reference oracle at any
-//! thread count and on either execution tier, its live-frame memory must
-//! be bounded by one chunk pair regardless of drive length, and the
-//! fleet driver must account for every drive.
+//! Gates on the streaming evaluation pipeline: its live-frame memory
+//! must be bounded by one chunk pair regardless of drive length, and the
+//! fleet driver must account for every drive. (Its bitwise equality with
+//! the buffered reference oracle is tested inside the crate, where the
+//! oracle lives.)
 
 use std::time::Duration;
 
-use rd_scene::{CameraRig, ObjectClass, RotationSetting, Speed};
-use rd_tensor::{Runtime, RuntimeConfig, Tier};
+use rd_scene::{CameraRig, ObjectClass, RotationSetting};
+use rd_tensor::{Runtime, RuntimeConfig};
 use rd_vision::shapes::{mask, Shape};
 use rd_vision::Plane;
 
 use road_decals::attack::{deploy, Deployment};
 use road_decals::decal::Decal;
-use road_decals::eval::{evaluate_challenge_traced, Challenge, EvalConfig, EvalMode};
+use road_decals::eval::{Challenge, EvalConfig};
 use road_decals::experiments::{prepare_environment, Environment, Scale};
 use road_decals::scenario::AttackScenario;
 use road_decals::stream::{eval_fleet, evaluate_streamed, FleetConfig, BATCH_FRAMES};
@@ -29,96 +29,6 @@ fn setup() -> (Environment, AttackScenario, Deployment) {
     );
     let decals = deploy(&d, &scenario);
     (env, scenario, decals)
-}
-
-/// A config whose rotation drive spans two full chunks plus a partial
-/// one (40 = 2×16 + 8), over two runs — exercises chunk-boundary and
-/// final-partial-chunk handling on both paths.
-fn chunky_cfg(seed: u64) -> EvalConfig {
-    EvalConfig {
-        rotation_frames: 40,
-        runs: 2,
-        ..EvalConfig::smoke(seed)
-    }
-}
-
-#[test]
-fn streamed_matches_buffered_bitwise_across_tiers_and_threads() {
-    let (env, scenario, decals) = setup();
-    let cfg = chunky_cfg(7);
-    for tier in [Tier::Reference, Tier::Fast] {
-        for threads in [1usize, 4] {
-            let rt = Runtime::new(RuntimeConfig {
-                threads,
-                tier,
-                profiling: false,
-            });
-            let eval = |mode| {
-                rt.enter(|| {
-                    evaluate_challenge_traced(
-                        &scenario,
-                        &decals,
-                        &env.detector,
-                        &env.params,
-                        ObjectClass::Bicycle,
-                        Challenge::Rotation(RotationSetting::Slight),
-                        &cfg,
-                        mode,
-                    )
-                })
-            };
-            let (s_out, s_trace) = eval(EvalMode::Streamed);
-            let (b_out, b_trace) = eval(EvalMode::Buffered);
-            let ctx = format!("tier {tier:?}, {threads} threads");
-            assert_eq!(
-                s_out.cell.pwc.to_bits(),
-                b_out.cell.pwc.to_bits(),
-                "PWC drifted ({ctx})"
-            );
-            assert_eq!(s_out.cell.cwc, b_out.cell.cwc, "CWC drifted ({ctx})");
-            assert_eq!(
-                s_out.victim_detected.to_bits(),
-                b_out.victim_detected.to_bits(),
-                "victim rate drifted ({ctx})"
-            );
-            assert_eq!(s_out.frames_per_run, b_out.frames_per_run, "{ctx}");
-            assert_eq!(
-                s_trace, b_trace,
-                "per-frame detections drifted between streamed and buffered ({ctx})"
-            );
-        }
-    }
-}
-
-#[test]
-fn streamed_matches_buffered_on_approach_challenge() {
-    // approach videos have data-dependent length (not a multiple of the
-    // chunk size) and per-frame motion blur noise draws
-    let (env, scenario, decals) = setup();
-    let cfg = EvalConfig {
-        runs: 2,
-        ..EvalConfig::smoke(3)
-    };
-    let eval = |mode| {
-        evaluate_challenge_traced(
-            &scenario,
-            &decals,
-            &env.detector,
-            &env.params,
-            ObjectClass::Bicycle,
-            Challenge::Speed(Speed::Slow),
-            &cfg,
-            mode,
-        )
-    };
-    let (s_out, s_trace) = eval(EvalMode::Streamed);
-    let (b_out, b_trace) = eval(EvalMode::Buffered);
-    assert_eq!(s_out.cell.pwc.to_bits(), b_out.cell.pwc.to_bits());
-    assert_eq!(
-        s_out.victim_detected.to_bits(),
-        b_out.victim_detected.to_bits()
-    );
-    assert_eq!(s_trace, b_trace);
 }
 
 #[test]

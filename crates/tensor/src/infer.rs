@@ -39,8 +39,8 @@
 //! ## Execution tiers
 //!
 //! The bitwise contract above describes [`Tier::Reference`], the
-//! default. When [`crate::tier::set_tier`] selects [`Tier::Fast`], the
-//! executor routes conv GEMMs and fused epilogues through the
+//! default. When the current runtime runs [`Tier::Fast`]
+//! ([`crate::RuntimeConfig::tier`]), the executor routes conv GEMMs and fused epilogues through the
 //! [`crate::simd`] f32x8 kernels instead; outputs may then diverge
 //! from the tape, but only within the static per-head ulp certificate
 //! computed by `rd_analysis::bounds` for the `f32x8-fma` kernel model.

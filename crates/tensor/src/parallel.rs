@@ -51,19 +51,12 @@ pub fn host_logical_cpus() -> usize {
 /// runtime.
 ///
 /// Requests above [`host_logical_cpus`] are stored as-is (see
-/// [`requested_max_threads`]) but [`max_threads`] clamps the effective
-/// budget to the host: oversubscribing a smaller machine only adds
+/// [`crate::Runtime::threads_requested`]) but [`max_threads`] clamps the
+/// effective budget to the host: oversubscribing a smaller machine only adds
 /// scheduler thrash — the partitioning (and therefore the numerics) is
 /// group-based and unaffected either way.
 pub fn set_max_threads(n: usize) {
     runtime::current().set_threads(n);
-}
-
-/// Returns the current runtime's raw budget (0 = auto), before the host
-/// clamp. Benches report this next to the effective [`max_threads`] so
-/// oversubscribed configs are visible.
-pub fn requested_max_threads() -> usize {
-    runtime::current().threads_requested()
 }
 
 /// Returns the current *effective* worker-thread budget: the current
@@ -246,14 +239,14 @@ mod tests {
     fn workers_never_exceed_groups_or_host() {
         let host = host_logical_cpus();
         with_threads(16, || {
-            assert_eq!(requested_max_threads(), 16);
+            assert_eq!(runtime::current().threads_requested(), 16);
             assert_eq!(max_threads(), 16.min(host));
             assert_eq!(workers_for(3), 16.min(host).min(3));
             assert_eq!(workers_for(0), 1);
         });
         with_threads(2, || assert_eq!(workers_for(8), 2.min(host)));
         with_threads(0, || {
-            assert_eq!(requested_max_threads(), 0);
+            assert_eq!(runtime::current().threads_requested(), 0);
             assert_eq!(max_threads(), host);
         });
     }
@@ -324,13 +317,13 @@ mod tests {
         std::thread::scope(|s| {
             let ja = s.spawn(|| {
                 a.enter(|| {
-                    assert_eq!(requested_max_threads(), 1);
+                    assert_eq!(runtime::current().threads_requested(), 1);
                     work(1)
                 })
             });
             let jb = s.spawn(|| {
                 b.enter(|| {
-                    assert_eq!(requested_max_threads(), 4);
+                    assert_eq!(runtime::current().threads_requested(), 4);
                     work(2)
                 })
             });

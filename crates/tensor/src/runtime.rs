@@ -5,7 +5,7 @@
 //! Before this module existed, [`crate::parallel`], [`crate::arena`],
 //! [`crate::profile`] and [`crate::tier`] were process-global
 //! singletons: one process could run exactly one training/eval job, and
-//! any job's panic poisoned the arena free list (and its `set_tier` /
+//! any job's panic poisoned the arena free list (and its tier or
 //! `set_max_threads` calls leaked into every other caller) for the
 //! whole process. A [`Runtime`] owns all four pieces of state, so
 //! independent jobs in one process are fully isolated: each gets its
@@ -37,7 +37,7 @@
 //! # The default-runtime shim
 //!
 //! The pre-existing free-function API (`parallel::set_max_threads`,
-//! `arena::take`, `profile::set_enabled`, `tier::set_tier`, …) still
+//! `arena::take`, `profile::set_enabled`, `tier::current`, …) still
 //! works: each function delegates to the current runtime, and when no
 //! runtime has been entered, to a lazily-created process-wide *default
 //! runtime*. Single-job binaries and tests therefore behave exactly as

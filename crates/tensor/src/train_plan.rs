@@ -40,7 +40,8 @@
 //! deltas are `±0.0` signs from dropped `0.0 + x` folds, which the
 //! downstream scatter-adds re-fold before any gradient escapes — so
 //! compiled-vs-tape identity and 1-vs-N-thread determinism both hold
-//! bit for bit (asserted in tests and gated in `bench_substrate`).
+//! bit for bit (asserted in `rd-detector`'s `train_compiled` tests and
+//! in `road-decals`' compiled attack test).
 //!
 //! ## Execution tiers
 //!
