@@ -93,4 +93,21 @@ cargo test --release -q -p rd-analysis --test plan_analyzer
 cargo run --release -q -p rd-bench --bin plan_audit -- --out target/PLAN_AUDIT.json
 test -s target/PLAN_AUDIT.json || { echo "plan_audit wrote no report" >&2; exit 1; }
 
+echo "==> repro binary through the shared CLI entry (repro_table2, smoke, profiled)"
+# One repro binary end to end through rd_bench::main: flag parsing, the
+# run's runtime built from --threads, and the profile report, which must
+# name the attack's compiled training ops.
+rm -f target/profile_smoke.json
+cargo run --release -q -p rd-bench --bin repro_table2 -- \
+    --scale smoke --threads 1 --profile --profile-json target/profile_smoke.json >/dev/null
+test -s target/profile_smoke.json || { echo "repro_table2 wrote no profile json" >&2; exit 1; }
+grep -q '"train/' target/profile_smoke.json ||
+    { echo "profile json names no train/ op path" >&2; exit 1; }
+
+echo "==> perfbench build + self-tests (its own cargo workspace)"
+# No step above compiles perfbench, so an API change it imports would
+# only surface when the benchmark runs. Its tests include the bit-flip
+# self-tests and the printed metric names == BENCHMARK.json check.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "ci.sh: all checks passed"

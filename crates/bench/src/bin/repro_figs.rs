@@ -6,35 +6,20 @@
 //!     [--checkpoint-every N] [--checkpoint-dir DIR] [--resume] [--deadline-secs N] [--max-retries N]
 //! ```
 
-use rd_bench::{arg, flag};
-use road_decals::experiments::{prepare_environment_with, run_figures, Scale};
+use std::process::ExitCode;
 
-fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro_figs: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
+use road_decals::experiments::run_figures;
 
-fn run() -> Result<(), Box<dyn std::error::Error>> {
-    rd_bench::run_supervised("figures", || run_body().map_err(|e| e.to_string()))?;
-    Ok(())
+fn main() -> ExitCode {
+    rd_bench::main("repro_figs", run_body)
 }
 
 fn run_body() -> Result<(), Box<dyn std::error::Error>> {
-    rd_bench::setup_substrate()?;
-    let scale: Scale = arg("--scale", "paper".to_owned())?.parse()?;
-    let seed: u64 = arg("--seed", 42)?;
-    let recovery = rd_bench::recovery_from_args()?;
-    let mut env = prepare_environment_with(scale, seed, recovery)?.with_audit(flag("--audit"));
+    let (mut env, seed) = rd_bench::environment_from_args()?;
     let written = run_figures(&mut env, seed, "out/figures")?;
     println!("wrote {} figures:", written.len());
     for p in written {
         println!("  {}", p.display());
     }
-    rd_bench::report_substrate()?;
     Ok(())
 }

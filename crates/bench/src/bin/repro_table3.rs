@@ -5,30 +5,17 @@
 //!     [--checkpoint-every N] [--checkpoint-dir DIR] [--resume] [--deadline-secs N] [--max-retries N]
 //! ```
 
-use rd_bench::{arg, compare, flag, paper};
-use road_decals::experiments::{prepare_environment_with, run_table3, Scale};
+use std::process::ExitCode;
 
-fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro_table3: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
+use rd_bench::{compare, paper};
+use road_decals::experiments::run_table3;
 
-fn run() -> Result<(), Box<dyn std::error::Error>> {
-    rd_bench::run_supervised("table3", || run_body().map_err(|e| e.to_string()))?;
-    Ok(())
+fn main() -> ExitCode {
+    rd_bench::main("repro_table3", run_body)
 }
 
 fn run_body() -> Result<(), Box<dyn std::error::Error>> {
-    rd_bench::setup_substrate()?;
-    let scale: Scale = arg("--scale", "paper".to_owned())?.parse()?;
-    let seed: u64 = arg("--seed", 42)?;
-    let recovery = rd_bench::recovery_from_args()?;
-    let mut env = prepare_environment_with(scale, seed, recovery)?.with_audit(flag("--audit"));
+    let (mut env, seed) = rd_bench::environment_from_args()?;
     println!(
         "victim detector class-accuracy: {:.2}\n",
         env.detector_accuracy
@@ -42,6 +29,5 @@ fn run_body() -> Result<(), Box<dyn std::error::Error>> {
         compare::row_dominates(&measured, "N=6", "N=8"),
         compare::monotone_decreasing(&measured, "N=4", &["slow", "normal", "fast"]),
     ]);
-    rd_bench::report_substrate()?;
     Ok(())
 }

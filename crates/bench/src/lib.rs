@@ -8,10 +8,20 @@
 //!   paper-vs-measured side by side.
 //! * [`compare`] — qualitative "shape" checks (orderings, crossovers)
 //!   between a measured table and its paper counterpart.
+//! * [`main`] — the entry point every CLI program runs through: it
+//!   builds each run's runtime from the command line and supervises it.
 //! * `src/bin/repro_table*.rs` — binaries that regenerate each table.
 //! * `src/bin/plan_audit.rs` — the static plan audit.
 
 #![warn(missing_docs)]
+
+use std::error::Error;
+use std::path::PathBuf;
+use std::process::ExitCode;
+use std::time::Duration;
+
+use road_decals::experiments::{prepare_environment_with, Environment, ExperimentRecovery, Scale};
+use road_decals::{run_job, JobOutcome, JobSpec, RunnerError, RunnerReport};
 
 pub mod paper {
     //! The paper's reported values (PWC %, CWC ✓/✗), transcribed from
@@ -426,87 +436,119 @@ pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Parses the recovery switches every repro binary accepts:
-/// `--checkpoint-every N` writes a checkpoint every N optimizer steps
-/// (0 disables), `--checkpoint-dir DIR` picks where the per-stage files
-/// live (default `out/ckpt`), and `--resume` restarts each training
-/// stage from its checkpoint when one exists.
+/// The experiment prelude the repro binaries share. Parses `--scale`
+/// (default `paper`), `--seed` (default 42), `--audit` and the recovery
+/// switches — `--checkpoint-every N` writes a checkpoint every N
+/// optimizer steps (0 disables), `--checkpoint-dir DIR` picks where the
+/// per-stage files live (default `out/ckpt`), and `--resume` restarts
+/// each training stage from its checkpoint when one exists — then
+/// prepares the environment and returns it with the seed.
 ///
 /// # Errors
 ///
-/// Returns a message for malformed flag values.
-pub fn recovery_from_args() -> Result<road_decals::experiments::ExperimentRecovery, String> {
+/// Returns a message for malformed flag values, or the detector
+/// fine-tune's checkpoint failure.
+pub fn environment_from_args() -> Result<(Environment, u64), Box<dyn Error>> {
+    let scale: Scale = arg("--scale", "paper".to_owned())?.parse()?;
+    let seed: u64 = arg("--seed", 42)?;
     let checkpoint_every: u64 = arg("--checkpoint-every", 0)?;
     let dir: String = arg("--checkpoint-dir", "out/ckpt".to_owned())?;
     let resume = flag("--resume");
-    let checkpoint_dir = (checkpoint_every > 0 || resume).then(|| std::path::PathBuf::from(dir));
-    Ok(road_decals::experiments::ExperimentRecovery {
+    let recovery = ExperimentRecovery {
         checkpoint_every,
-        checkpoint_dir,
+        checkpoint_dir: (checkpoint_every > 0 || resume).then(|| PathBuf::from(dir)),
         resume,
-    })
+    };
+    let env = prepare_environment_with(scale, seed, recovery)?.with_audit(flag("--audit"));
+    Ok((env, seed))
 }
 
-/// Runs a repro binary's body under the job supervisor when the
-/// supervision switches are present: `--deadline-secs N` bounds the
-/// whole run's wall clock (enforced cooperatively at step and frame
-/// boundaries) and `--max-retries N` re-runs the body after a crash,
-/// each attempt on a fresh quarantine-isolated
-/// [`rd_tensor::Runtime`]. Without either switch the body runs
-/// directly on the caller's runtime, exactly as before.
+/// The entry point of every CLI program in the workspace: the repro
+/// binaries and the `train_detector` example. It parses the switches
+/// they all accept, once:
 ///
-/// The body should parse its own flags and call [`setup_substrate`] /
-/// [`report_substrate`] itself, so thread caps and profiling apply to
-/// the runtime the supervised attempt actually executes on.
+/// * `--threads N` — the run's worker budget (0 = one worker per host
+///   core);
+/// * `--profile` — turns on the per-op wall-clock profiler and prints
+///   its report after the body succeeds; with `--profile-json PATH` it
+///   also writes the machine-readable histogram;
+/// * `--deadline-secs N` — bounds the whole run's wall clock (0 =
+///   unbounded), enforced cooperatively at step and frame boundaries;
+/// * `--max-retries N` — re-runs the body after a panic (default 0).
 ///
-/// # Errors
-///
-/// Returns the body's error, a deadline-exceeded message, or the last
-/// failure after the retry budget is exhausted.
-pub fn run_supervised<F>(name: &str, body: F) -> Result<(), String>
+/// Each attempt runs under [`run_job`] on a fresh, quarantine-isolated
+/// [`rd_tensor::Runtime`] built from those switches, so a panic ends
+/// the process with exit code 1 and its message, not an abort. A plain
+/// `Err` from the body is a configuration or IO failure: it is
+/// reported and not retried, unless the deadline tripped, which is
+/// reported as a deadline.
+pub fn main<F>(name: &str, mut body: F) -> ExitCode
 where
-    F: FnMut() -> Result<(), String>,
+    F: FnMut() -> Result<(), Box<dyn Error>>,
 {
+    match supervise(name, &mut body) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn supervise(
+    name: &str,
+    body: &mut dyn FnMut() -> Result<(), Box<dyn Error>>,
+) -> Result<(), Box<dyn Error>> {
+    let threads: usize = arg("--threads", 0)?;
+    let profile = flag("--profile");
+    let profile_json: String = arg("--profile-json", String::new())?;
     let deadline_secs: u64 = arg("--deadline-secs", 0)?;
     let max_retries: u32 = arg("--max-retries", 0)?;
-    let threads: usize = arg("--threads", 0)?;
-    road_decals::supervise_main(name, deadline_secs, max_retries, threads, body)
+    let mut spec = JobSpec::new(name).threads(threads).max_retries(max_retries);
+    if deadline_secs > 0 {
+        spec = spec.deadline(Duration::from_secs(deadline_secs));
+    }
+    let mut failure = None;
+    let report = run_job(&spec, |ctx| {
+        if ctx.attempt > 0 {
+            eprintln!("[supervisor] {name}: retry attempt {}", ctx.attempt);
+        }
+        if profile {
+            rd_tensor::profile::set_enabled(true);
+        }
+        let result = body().and_then(|()| {
+            if profile {
+                report_profile(&profile_json)?;
+            }
+            Ok(())
+        });
+        if let Err(e) = result {
+            if let Some(cause) = ctx.rt.cancel_state() {
+                return Err(RunnerError::Cancelled { step: 0, cause });
+            }
+            failure = Some(e);
+        }
+        Ok(RunnerReport::default())
+    });
+    match report.outcome {
+        JobOutcome::Finished => failure.map_or(Ok(()), Err),
+        JobOutcome::DeadlineExceeded => Err(format!(
+            "deadline of {deadline_secs}s exceeded after {} attempt(s)",
+            report.attempts
+        )
+        .into()),
+        JobOutcome::Failed(why) => Err(why.into()),
+    }
 }
 
-/// Applies the substrate switches every repro binary accepts:
-/// `--threads N` caps the tensor worker pool (`0` = one worker per
-/// host core) and `--profile` turns on the per-op wall-clock profiler.
-///
-/// # Errors
-///
-/// Returns a message for malformed flag values.
-pub fn setup_substrate() -> Result<(), String> {
-    let threads: usize = arg("--threads", 0)?;
-    rd_tensor::parallel::set_max_threads(threads);
-    if flag("--profile") {
-        rd_tensor::profile::reset();
-        rd_tensor::profile::set_enabled(true);
-    }
-    Ok(())
-}
-
-/// Prints the per-op profiler report when `--profile` is on; with
-/// `--profile-json PATH`, also writes the machine-readable histogram.
-/// Call once at the end of `main`.
-///
-/// # Errors
-///
-/// Returns a message when the profile JSON cannot be written.
-pub fn report_substrate() -> Result<(), String> {
-    if !rd_tensor::profile::enabled() {
-        return Ok(());
-    }
+/// Prints the current runtime's per-op profile and, when `json_path`
+/// is non-empty, writes its JSON histogram there.
+fn report_profile(json_path: &str) -> Result<(), Box<dyn Error>> {
     println!("\n{}", rd_tensor::profile::report_text());
-    let path: String = arg("--profile-json", String::new())?;
-    if !path.is_empty() {
-        std::fs::write(&path, rd_tensor::profile::report_json())
-            .map_err(|e| format!("cannot write profile json {path}: {e}"))?;
-        println!("profile json written to {path}");
+    if !json_path.is_empty() {
+        std::fs::write(json_path, rd_tensor::profile::report_json())
+            .map_err(|e| format!("cannot write profile json {json_path}: {e}"))?;
+        println!("profile json written to {json_path}");
     }
     Ok(())
 }
@@ -514,6 +556,41 @@ pub fn report_substrate() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rd_tensor::runtime;
+
+    #[test]
+    fn entry_runs_the_body_on_a_fresh_runtime_built_from_the_flags() {
+        let threads: usize = arg("--threads", 0).unwrap();
+        let mut seen = None;
+        let code = main("entry-fresh-runtime", || {
+            let rt = runtime::current();
+            seen = Some((
+                rt.same_as(&runtime::default_runtime()),
+                rt.threads_requested(),
+            ));
+            Ok(())
+        });
+        assert_eq!(code, ExitCode::SUCCESS);
+        assert_eq!(seen, Some((false, threads)));
+        assert_eq!(runtime::default_runtime().threads_requested(), 0);
+    }
+
+    #[test]
+    fn entry_reports_a_body_error_without_retrying_it() {
+        let mut calls = 0;
+        let code = main("entry-body-error", || {
+            calls += 1;
+            Err("bad config".into())
+        });
+        assert_eq!(code, ExitCode::FAILURE);
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn entry_turns_a_panic_into_a_failure_exit() {
+        let code = main("entry-panic", || panic!("scripted panic"));
+        assert_eq!(code, ExitCode::FAILURE);
+    }
 
     #[test]
     fn paper_tables_have_expected_shapes() {

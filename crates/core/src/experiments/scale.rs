@@ -1,5 +1,6 @@
 //! Shared experiment environment: scale selection and the trained victim
-//! detector (cached on disk so the six table binaries don't retrain it).
+//! detector (cached on disk, one file per scale, so the table binaries
+//! don't retrain it).
 
 use std::path::{Path, PathBuf};
 
@@ -78,7 +79,8 @@ impl Scale {
 
     /// The weight-cache file for this scale, in the workspace root's
     /// `out/` whatever the working directory (`cargo test` runs each
-    /// package's tests from that package's own directory).
+    /// package's tests from that package's own directory). The seed is
+    /// not part of the key: every seed shares the one file.
     pub fn cache_path(self) -> PathBuf {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
@@ -251,8 +253,11 @@ impl std::fmt::Debug for Environment {
     }
 }
 
-/// Trains (or loads from the on-disk cache) the victim detector for a
-/// scale. Deterministic given `seed` — the cache only skips recompute.
+/// Loads the victim detector for a scale from its weight cache, or,
+/// when there is none, trains it from `seed` and writes the cache. The
+/// cache is keyed by scale only, so once it exists every seed loads the
+/// same weights, which need not be the ones a retrain from this `seed`
+/// would give.
 pub fn prepare_environment(scale: Scale, seed: u64) -> Environment {
     prepare_environment_with(scale, seed, ExperimentRecovery::default())
         .expect("detector training cannot fail with recovery disabled")

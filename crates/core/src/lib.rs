@@ -76,6 +76,4 @@ pub use stream::{
     eval_fleet, evaluate_streamed, FleetConfig, FleetReport, StreamStats, StreamedEval,
     BATCH_FRAMES,
 };
-pub use supervisor::{
-    run_fleet, run_job, supervise_main, JobCtx, JobOutcome, JobReport, JobSpec, TierDemotion,
-};
+pub use supervisor::{run_fleet, run_job, JobCtx, JobOutcome, JobReport, JobSpec, TierDemotion};

@@ -189,7 +189,7 @@ pub(crate) fn evaluate_streamed_observed(
                 move || {
                     // worker threads inherit the spawner's runtime only
                     // through enter(): charge rendering to the caller's
-                    // runtime, not the default shim
+                    // runtime, not the process default
                     rt.enter(|| {
                         for chunk_poses in poses.chunks(BATCH_FRAMES) {
                             runtime::check_cancelled_or_unwind();

@@ -377,71 +377,6 @@ where
     }
 }
 
-/// Wraps a whole `main`-style body in [`run_job`]'s policy — the hook
-/// the repro binaries' `--deadline-secs` / `--max-retries` flags wire
-/// into. `deadline_secs` bounds the body's wall clock (0 = unbounded),
-/// enforced cooperatively at step/frame boundaries; `max_retries`
-/// re-runs the body after a crash, each attempt on a fresh
-/// quarantine-isolated runtime capped at `threads` workers. When both
-/// knobs are zero the body runs directly on the caller's runtime with
-/// no supervision at all.
-///
-/// A plain `Err` from the body is treated as a configuration or IO
-/// failure, not a crash: it is reported, not retried — unless the
-/// runtime's deadline tripped, in which case it is classified as
-/// deadline exceeded. Retries are for panics; the deadline is for
-/// hangs.
-///
-/// # Errors
-///
-/// Returns the body's error, a deadline-exceeded message, or the last
-/// failure once the retry budget is exhausted.
-pub fn supervise_main<F>(
-    name: &str,
-    deadline_secs: u64,
-    max_retries: u32,
-    threads: usize,
-    mut body: F,
-) -> Result<(), String>
-where
-    F: FnMut() -> Result<(), String>,
-{
-    if deadline_secs == 0 && max_retries == 0 {
-        return body();
-    }
-    let mut spec = JobSpec::new(name).threads(threads).max_retries(max_retries);
-    if deadline_secs > 0 {
-        spec = spec.deadline(Duration::from_secs(deadline_secs));
-    }
-    let failure = std::sync::Mutex::new(None::<String>);
-    let report = run_job(&spec, |ctx| {
-        if ctx.attempt > 0 {
-            eprintln!("[supervisor] {name}: retry attempt {}", ctx.attempt);
-        }
-        match body() {
-            Ok(()) => Ok(RunnerReport::default()),
-            Err(e) => {
-                if let Some(cause) = ctx.rt.cancel_state() {
-                    return Err(RunnerError::Cancelled { step: 0, cause });
-                }
-                *failure.lock().unwrap() = Some(e);
-                Ok(RunnerReport::default())
-            }
-        }
-    });
-    match report.outcome {
-        JobOutcome::Finished => match failure.into_inner().unwrap() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        },
-        JobOutcome::DeadlineExceeded => Err(format!(
-            "{name}: deadline of {deadline_secs}s exceeded after {} attempt(s)",
-            report.attempts
-        )),
-        JobOutcome::Failed(why) => Err(format!("{name}: {why}")),
-    }
-}
-
 /// Runs a fleet of jobs concurrently, one OS thread per job, each under
 /// [`run_job`]'s per-attempt isolation. Reports come back in spec
 /// order. Because every job runs in its own [`Runtime`] and the

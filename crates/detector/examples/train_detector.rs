@@ -6,22 +6,19 @@
 //! ```text
 //! cargo run --release -p rd-detector --example train_detector -- \
 //!     [--images 600] [--epochs 6] [--out out/detector.rdw] [--audit] \
-//!     [--threads N] [--profile] [--no-compiled] \
+//!     [--threads N] [--profile] [--profile-json PATH] [--no-compiled] \
 //!     [--checkpoint-every N] [--checkpoint out/detector.rdc] [--resume] \
 //!     [--deadline-secs N] [--max-retries N]
 //! ```
 //!
 //! `--audit` statically validates the model's wiring before training and
-//! scans a post-training forward tape for non-finite values. `--threads`
-//! caps the tensor worker pool (0 = one worker per host core) and
-//! `--profile` prints the per-op wall-clock report after training.
+//! scans a post-training forward tape for non-finite values.
 //! `--no-compiled` runs the reference autograd-tape training step
 //! instead of the compiled `TrainPlan` (bitwise-identical, slower).
-//!
-//! `--deadline-secs N` bounds the whole run's wall clock (checked at
-//! step boundaries) and `--max-retries N` re-runs it after a crash on a
-//! fresh quarantine-isolated runtime; combine with `--checkpoint-every`
-//! and `--resume` so retries pick up at the last checkpoint.
+//! `--threads`, `--profile`, `--profile-json`, `--deadline-secs` and
+//! `--max-retries` are the switches every CLI program takes through
+//! `rd_bench::main`; combine the last two with `--checkpoint-every` and
+//! `--resume` so retries pick up at the last checkpoint.
 //!
 //! `--checkpoint-every N` atomically writes the full training state
 //! (weights, Adam moments, RNG position, epoch/batch cursors) every N
@@ -37,51 +34,15 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use rd_bench::{arg, flag};
 use rd_detector::{evaluate, DetectorTrainer, TinyYolo, TrainConfig, YoloConfig};
 use rd_scene::dataset::{generate, DatasetConfig};
 use rd_scene::CameraRig;
 use rd_tensor::optim::StepOutcome;
 use rd_tensor::{io, ParamSet};
 
-fn arg<T>(name: &str, default: T) -> Result<T, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(default);
-    };
-    let Some(v) = args.get(i + 1) else {
-        return Err(format!("{name} expects a value"));
-    };
-    v.parse()
-        .map_err(|e| format!("bad value '{v}' for {name}: {e}"))
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("train_detector: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), Box<dyn Error>> {
-    road_decals::supervise_main(
-        "train_detector",
-        arg("--deadline-secs", 0)?,
-        arg("--max-retries", 0)?,
-        arg("--threads", 0)?,
-        || run_body().map_err(|e| e.to_string()),
-    )?;
-    Ok(())
+    rd_bench::main("train_detector", run_body)
 }
 
 fn run_body() -> Result<(), Box<dyn Error>> {
@@ -92,11 +53,6 @@ fn run_body() -> Result<(), Box<dyn Error>> {
     let ck_path: String = arg("--checkpoint", "out/detector.rdc".to_owned())?;
     let resume = flag("--resume");
     let audit = flag("--audit");
-    rd_tensor::parallel::set_max_threads(arg("--threads", 0)?);
-    let profile = flag("--profile");
-    if profile {
-        rd_tensor::profile::set_enabled(true);
-    }
 
     let rig = CameraRig::standard();
     println!("generating {n_images} training images...");
@@ -207,8 +163,5 @@ fn run_body() -> Result<(), Box<dyn Error>> {
     }
     io::save_params_file(&ps, &out).map_err(|e| format!("cannot save weights to {out}: {e}"))?;
     println!("weights saved to {out}");
-    if profile {
-        println!("\n{}", rd_tensor::profile::report_text());
-    }
     Ok(())
 }

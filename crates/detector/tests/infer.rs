@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rd_detector::{TinyYolo, YoloConfig};
-use rd_tensor::{parallel, Graph, ParamSet, Tensor};
+use rd_tensor::{Graph, ParamSet, Runtime, RuntimeConfig, Tensor};
 
 /// A smoke-scale detector with every parameter (weights, biases,
 /// gammas/betas and the batch-norm running statistics) randomized, so
@@ -51,9 +51,11 @@ proptest! {
         let x = Tensor::randn(&mut rng, &[n, 3, 64, 64], 1.0);
         let (tc, tf) = tape_forward(&model, &ps, &x);
         for threads in [1usize, 4] {
-            parallel::set_max_threads(threads);
-            let (cc, cf) = model.infer(&ps, &x);
-            parallel::set_max_threads(0);
+            let (cc, cf) = Runtime::new(RuntimeConfig {
+                threads,
+                ..RuntimeConfig::default()
+            })
+            .enter(|| model.infer(&ps, &x));
             prop_assert_eq!(tc.shape(), cc.shape());
             prop_assert_eq!(tf.shape(), cf.shape());
             prop_assert_eq!(

@@ -20,7 +20,7 @@ use rd_detector::map::mean_average_precision;
 use rd_detector::{postprocess, Detection, TinyYolo, YoloConfig};
 use rd_scene::dataset::{generate, DatasetConfig, Sample};
 use rd_scene::{CameraRig, ObjectClass, RotationSetting};
-use rd_tensor::{tier, Graph, ParamSet, Runtime, RuntimeConfig, Tensor, Tier};
+use rd_tensor::{runtime, Graph, ParamSet, Runtime, RuntimeConfig, Tensor, Tier};
 use rd_vision::shapes::{mask, Shape};
 use rd_vision::{Image, Plane};
 use road_decals::experiments::{prepare_environment, Environment, Scale};
@@ -73,7 +73,7 @@ fn fast_tier_stays_within_the_static_certificate() {
     }
 
     // Reference tier (the default): bitwise equal to the tape.
-    assert_eq!(tier::current(), Tier::Reference);
+    assert_eq!(runtime::current().tier(), Tier::Reference);
     let (rc, rf) = model.infer(&ps, &x);
     let mut g = Graph::new();
     let xv = g.input(x.clone());

@@ -16,7 +16,7 @@ use rd_detector::{DetectorTrainer, TinyYolo, TrainConfig, YoloConfig};
 use rd_scene::dataset::{generate, DatasetConfig, Sample};
 use rd_scene::CameraRig;
 use rd_tensor::optim::StepOutcome;
-use rd_tensor::{parallel, ParamSet};
+use rd_tensor::{ParamSet, Runtime, RuntimeConfig};
 
 fn smoke_data(n: usize) -> Vec<Sample> {
     generate(&DatasetConfig {
@@ -69,10 +69,11 @@ fn compiled_step_matches_tape_bitwise_at_1_and_4_threads() {
     let reference = run(&data, false);
     assert!(!reference.0.is_empty() && !reference.1.is_empty());
     for threads in [1usize, 4] {
-        parallel::set_max_threads(threads);
-        let tape = run(&data, false);
-        let compiled = run(&data, true);
-        parallel::set_max_threads(0);
+        let (tape, compiled) = Runtime::new(RuntimeConfig {
+            threads,
+            ..RuntimeConfig::default()
+        })
+        .enter(|| (run(&data, false), run(&data, true)));
         assert_eq!(
             compiled.0, tape.0,
             "per-step losses diverged at {threads} thread(s)"

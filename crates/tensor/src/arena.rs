@@ -17,8 +17,8 @@
 //! - [`ScratchBuf`] is the RAII convenience: it recycles on drop.
 //!
 //! The pool lives on the [`crate::runtime::Runtime`] that is current at
-//! the call site (see the runtime module for the ownership model); the
-//! free functions here are the default-runtime shim. Each pool is a
+//! the call site (see the runtime module for the ownership model), and
+//! the free functions here act on that runtime's pool. Each pool is a
 //! `Mutex`-guarded free list, safe to use from the worker pool in
 //! [`crate::parallel`]. Tiny buffers are not pooled (the allocator is
 //! already fast for those), and each pool is capped both in buffer
@@ -181,25 +181,8 @@ impl ArenaState {
         )
     }
 
-    fn reset(&self) {
-        let mut pool = self.pool_guard();
-        pool.clear();
-        self.pooled_elems.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.high_water_elems
-            .store(self.loaned_elems.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     pub(crate) fn high_water(&self) -> usize {
         self.high_water_elems.load(Ordering::Relaxed)
-    }
-
-    /// Restarts the high-water mark from the current loan level (the
-    /// mark can never sit below what is still checked out).
-    pub(crate) fn reset_high_water(&self) {
-        self.high_water_elems
-            .store(self.loaned_elems.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Test hook: panic while holding the pool lock, poisoning it the
@@ -238,27 +221,6 @@ pub fn recycle(buf: Vec<f32>) {
 /// current runtime's arena.
 pub fn stats() -> (usize, usize, usize) {
     runtime::current().inner_arena(|a| a.stats())
-}
-
-/// Drops the current runtime's pooled buffers and zeroes its hit/miss
-/// counters. Intended for tests and benchmark setup.
-pub fn reset() {
-    runtime::current().inner_arena(|a| a.reset());
-}
-
-/// The current runtime's arena high-water mark: the maximum number of
-/// `f32` elements simultaneously checked out of the arena since the
-/// runtime was created (or [`reset_high_water`]). Only arena-sized
-/// buffers (`len >= MIN_LEN`) count; this is the live-scratch-memory
-/// figure the streaming evaluation's bounded-memory gate asserts on.
-pub fn high_water() -> usize {
-    runtime::current().inner_arena(|a| a.high_water())
-}
-
-/// Restarts the current runtime's arena high-water mark from its
-/// current loan level, so a measurement window can begin mid-process.
-pub fn reset_high_water() {
-    runtime::current().inner_arena(|a| a.reset_high_water());
 }
 
 /// RAII scratch buffer: behaves as a `[f32]` slice and recycles its
@@ -424,10 +386,10 @@ mod tests {
     #[test]
     fn high_water_tracks_peak_loans_not_traffic() {
         in_fresh_runtime(|rt| {
-            assert_eq!(high_water(), 0);
+            assert_eq!(rt.arena_high_water(), 0);
             let a = take(4096);
             let b = take(2048);
-            assert_eq!(high_water(), 4096 + 2048);
+            assert_eq!(rt.arena_high_water(), 4096 + 2048);
             recycle(a);
             recycle(b);
             // sequential reuse of the same capacity must not raise the
@@ -437,26 +399,23 @@ mod tests {
                 let c = take(4096);
                 recycle(c);
             }
-            assert_eq!(high_water(), 4096 + 2048);
             assert_eq!(rt.arena_high_water(), 4096 + 2048);
             // small buffers are invisible, same as the pool itself
             let tiny = take(8);
-            assert_eq!(high_water(), 4096 + 2048);
+            assert_eq!(rt.arena_high_water(), 4096 + 2048);
             recycle(tiny);
-            reset_high_water();
-            assert_eq!(high_water(), 0);
         });
     }
 
     #[test]
     fn high_water_never_underflows_on_foreign_buffers() {
-        in_fresh_runtime(|_| {
+        in_fresh_runtime(|rt| {
             // recycling a Vec the arena never handed out must not wrap
             // the loan counter below zero
             recycle(vec![1.0; 4096]);
             recycle(vec![1.0; 4096]);
             let v = take(2048);
-            assert_eq!(high_water(), v.capacity());
+            assert_eq!(rt.arena_high_water(), v.capacity());
             recycle(v);
         });
     }

@@ -44,8 +44,6 @@
 //! [`crate::simd`] f32x8 kernels instead; outputs may then diverge
 //! from the tape, but only within the static per-head ulp certificate
 //! computed by `rd_analysis::bounds` for the `f32x8-fma` kernel model.
-//! The tier is latched once per [`InferPlan::execute`] call, so a
-//! single batch never mixes kernels.
 
 use std::sync::Mutex;
 
@@ -57,9 +55,10 @@ use crate::params::ParamSet;
 use crate::plan::{self, OpKind, Plan};
 use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
 use crate::profile;
+use crate::runtime;
 use crate::simd::{self, Act};
 use crate::tensor::{matmul_into, Tensor};
-use crate::tier::{self, Tier};
+use crate::tier::Tier;
 
 /// A compiled, grad-free execution plan: the shared `crate::plan`
 /// lowering of a declare tape, executed per sample.
@@ -115,7 +114,7 @@ impl InferPlan {
 
     /// Runs one sample already copied into `bufs`' input slot. `fast`
     /// routes conv GEMMs and epilogues through the [`crate::simd`]
-    /// kernels (the caller latches the tier once per run).
+    /// kernels.
     fn exec_sample(
         &self,
         ps: &ParamSet,
@@ -410,8 +409,7 @@ impl<'p> InferExec<'p> {
         );
         let n = input.shape()[0];
         assert!(n > 0, "infer batch must be non-empty");
-        // latched once: a batch never mixes kernel tiers
-        let fast = tier::current() == Tier::Fast;
+        let fast = runtime::current().tier() == Tier::Fast;
         let groups = parallel::groups_for(n);
         while self.groups.len() < groups {
             self.groups.push(GroupBufs::new(ir));

@@ -27,12 +27,12 @@
 //!   forward+backward.
 //! * [`check`] — numerical gradient checking used across the workspace.
 //! * [`runtime`] — instance-scoped execution contexts ([`Runtime`]):
-//!   each bundles a worker-thread budget, scratch arena, profiler
-//!   registry, execution tier and cancellation state. The free
-//!   functions in [`parallel`] / [`arena`] / [`profile`] / [`tier`]
-//!   operate on the runtime current at the call site (a lazily created
-//!   process default outside any [`Runtime::enter`] scope), so existing
-//!   single-job code is unchanged while supervisors can run isolated
+//!   each bundles a worker-thread budget and execution tier, both fixed
+//!   when it is built, with a scratch arena, profiler registry and
+//!   cancellation state. The free functions in [`parallel`] /
+//!   [`arena`] / [`profile`] act on the runtime current at the call
+//!   site (a lazily created process default outside any
+//!   [`Runtime::enter`] scope), so supervisors can run isolated
 //!   concurrent jobs.
 //!
 //! # Examples

@@ -8,12 +8,12 @@
 //! happens on the calling thread in group order, results are bitwise
 //! identical whatever the thread count — including fully serial runs.
 //!
-//! The thread budget lives on the [`crate::runtime::Runtime`] current
-//! at the call site ([`set_max_threads`] is the default-runtime shim),
-//! so two runtimes can run different budgets concurrently in one
-//! process. Worker threads spawned here **inherit the spawner's
-//! runtime**: everything a worker allocates, profiles or dispatches
-//! stays charged to the runtime that launched the loop.
+//! The thread budget is fixed by the [`crate::RuntimeConfig`] of the
+//! [`crate::runtime::Runtime`] current at the call site, so two
+//! runtimes can run different budgets concurrently in one process.
+//! Worker threads spawned here **inherit the spawner's runtime**:
+//! everything a worker allocates, profiles or dispatches stays charged
+//! to the runtime that launched the loop.
 //!
 //! Nested parallelism is suppressed: a `run_*` call made from inside a
 //! worker runs inline on that worker. The partitioning is unchanged, so
@@ -40,29 +40,12 @@ pub fn host_logical_cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// Sets the worker-thread budget of the **current runtime** (the
-/// process-wide default runtime outside any
-/// [`crate::runtime::Runtime::enter`] scope, which preserves the old
-/// global behavior for single-job binaries).
-///
-/// `0` restores the default (the host's available parallelism). `1`
-/// forces fully serial execution. The setting applies to conv/pool/warp
-/// kernels as well as the attack-loop frame fan-out run under that
-/// runtime.
-///
-/// Requests above [`host_logical_cpus`] are stored as-is (see
-/// [`crate::Runtime::threads_requested`]) but [`max_threads`] clamps the
-/// effective budget to the host: oversubscribing a smaller machine only adds
-/// scheduler thrash — the partitioning (and therefore the numerics) is
-/// group-based and unaffected either way.
-pub fn set_max_threads(n: usize) {
-    runtime::current().set_threads(n);
-}
-
 /// Returns the current *effective* worker-thread budget: the current
 /// runtime's requested budget clamped to [`host_logical_cpus`], with
 /// "auto" (0) resolving to the host's available parallelism and a floor
-/// of 1.
+/// of 1. Oversubscribing a smaller machine only adds scheduler thrash;
+/// the partitioning (and therefore the numerics) is group-based and
+/// unaffected either way.
 pub fn max_threads() -> usize {
     let host = host_logical_cpus();
     let n = runtime::current().threads_requested();
@@ -298,7 +281,7 @@ mod tests {
         assert!(ids.iter().all(|&id| id == rt.id()));
     }
 
-    /// The satellite regression for the old `set_max_threads` test
+    /// The regression for the old process-wide thread-budget test
     /// race: two runtimes with different thread budgets coexist on
     /// concurrent threads, neither sees the other's budget, and the
     /// parallel results are bitwise-deterministic either way.

@@ -13,9 +13,9 @@
 //! each back-closure call and records it under `<path>/bwd`.
 //!
 //! The enable flag and the sample registry live on the
-//! [`crate::runtime::Runtime`] current at the call site; the free
-//! functions here are the default-runtime shim, so two concurrent jobs
-//! profile into disjoint registries. Profiling is off by default and
+//! [`crate::runtime::Runtime`] current at the call site, and the free
+//! functions here act on that runtime, so two concurrent jobs profile
+//! into disjoint registries. Profiling is off by default and
 //! costs one relaxed atomic load per recorded op when disabled. Worker
 //! threads record into their runtime's registry through a mutex; with
 //! profiling on, contention is an accepted observer cost. The forward

@@ -5,9 +5,9 @@
 //! Before this module existed, [`crate::parallel`], [`crate::arena`],
 //! [`crate::profile`] and [`crate::tier`] were process-global
 //! singletons: one process could run exactly one training/eval job, and
-//! any job's panic poisoned the arena free list (and its tier or
-//! `set_max_threads` calls leaked into every other caller) for the
-//! whole process. A [`Runtime`] owns all four pieces of state, so
+//! any job's panic poisoned the arena free list (and its thread-budget
+//! or tier changes leaked into every other caller) for the whole
+//! process. A [`Runtime`] owns all four pieces of state, so
 //! independent jobs in one process are fully isolated: each gets its
 //! own thread budget, its own buffer pool, its own profiler and its own
 //! tier, and a panicked job's runtime can be quarantined and discarded
@@ -19,6 +19,11 @@
 //!   *caller* owns it and threads it into trainers (their
 //!   `with_runtime` builders) and the supervisor in `road_decals`, or
 //!   enters it around plain calls.
+//! * Its thread budget and tier are fixed by the [`RuntimeConfig`] it
+//!   is built from. Code running under a runtime reads them
+//!   ([`Runtime::threads_requested`], [`Runtime::tier`]) but cannot
+//!   change them: a job that needs another budget or tier builds and
+//!   enters a runtime of its own.
 //! * [`Runtime::enter`] installs the handle as the calling thread's
 //!   *current* runtime for the duration of a closure (re-entrant, and
 //!   restored on unwind). Kernels and the arena always consult the
@@ -34,16 +39,15 @@
 //!   unrelated runtime. [`crate::InferPlan::execute`] takes and
 //!   recycles its buffers within one call, under one runtime.
 //!
-//! # The default-runtime shim
+//! # The default runtime
 //!
-//! The pre-existing free-function API (`parallel::set_max_threads`,
-//! `arena::take`, `profile::set_enabled`, `tier::current`, …) still
-//! works: each function delegates to the current runtime, and when no
-//! runtime has been entered, to a lazily-created process-wide *default
-//! runtime*. Single-job binaries and tests therefore behave exactly as
-//! before. This module is the **only** place in `rd-tensor` allowed to
-//! hold `static` mutable state (the default-runtime cell and the
-//! thread-local current pointer) — ci.sh greps for strays.
+//! The free functions (`parallel::max_threads`, `arena::take`,
+//! `profile::set_enabled`, …) act on the current runtime, and when no
+//! runtime has been entered, on a lazily-created process-wide *default
+//! runtime* built from [`RuntimeConfig::default`]. This module is the
+//! **only** place in `rd-tensor` allowed to hold `static` mutable state
+//! (the default-runtime cell and the thread-local current pointer) —
+//! ci.sh greps for strays.
 //!
 //! # Quarantine rules
 //!
@@ -59,7 +63,7 @@
 //! untouched.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -118,9 +122,8 @@ pub(crate) struct RuntimeInner {
     id: u64,
     /// Requested worker budget (0 = auto); effective budget is clamped
     /// to the host in [`crate::parallel::max_threads`].
-    threads: AtomicUsize,
-    /// 0 = Reference, 1 = Fast.
-    tier: AtomicU8,
+    threads: usize,
+    tier: Tier,
     quarantined: AtomicBool,
     cancelled: AtomicBool,
     /// Cooperative deadline; `None` means no deadline.
@@ -138,9 +141,9 @@ pub struct Runtime {
 }
 
 // ---------------------------------------------------------------------
-// The default-runtime shim: the only process-global mutable state in
-// rd-tensor. `DEFAULT` backs the pre-Runtime free-function API;
-// `CURRENT` is the per-thread stack of entered runtimes.
+// The only process-global mutable state in rd-tensor. `DEFAULT` backs
+// the free functions outside any `enter` scope; `CURRENT` is the
+// per-thread stack of entered runtimes.
 static DEFAULT: OnceLock<Runtime> = OnceLock::new();
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -156,8 +159,8 @@ pub fn current() -> Runtime {
         .unwrap_or_else(default_runtime)
 }
 
-/// The process-wide default runtime backing the free-function API for
-/// callers that never construct their own [`Runtime`].
+/// The process-wide default runtime the free functions act on for
+/// callers that never enter a [`Runtime`] of their own.
 pub fn default_runtime() -> Runtime {
     DEFAULT
         .get_or_init(|| Runtime::new(RuntimeConfig::default()))
@@ -206,8 +209,8 @@ impl Runtime {
         Runtime {
             inner: Arc::new(RuntimeInner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                threads: AtomicUsize::new(cfg.threads),
-                tier: AtomicU8::new(matches!(cfg.tier, Tier::Fast) as u8),
+                threads: cfg.threads,
+                tier: cfg.tier,
                 quarantined: AtomicBool::new(false),
                 cancelled: AtomicBool::new(false),
                 deadline: Mutex::new(None),
@@ -245,34 +248,15 @@ impl Runtime {
         f()
     }
 
-    // ------------------------------------------------------- thread pool
-
-    /// Sets the requested worker-thread budget (0 = auto, 1 = serial).
-    pub fn set_threads(&self, n: usize) {
-        self.inner.threads.store(n, Ordering::SeqCst);
-    }
-
-    /// The requested worker-thread budget, before the host clamp.
+    /// The requested worker-thread budget (0 = auto, 1 = serial),
+    /// before the host clamp in [`crate::parallel::max_threads`].
     pub fn threads_requested(&self) -> usize {
-        self.inner.threads.load(Ordering::SeqCst)
+        self.inner.threads
     }
 
-    // -------------------------------------------------------------- tier
-
-    /// Selects the execution tier for compiled runs under this runtime.
-    pub fn set_tier(&self, t: Tier) {
-        self.inner
-            .tier
-            .store(matches!(t, Tier::Fast) as u8, Ordering::SeqCst);
-    }
-
-    /// The runtime's execution tier.
+    /// The execution tier compiled plans run with under this runtime.
     pub fn tier(&self) -> Tier {
-        if self.inner.tier.load(Ordering::SeqCst) == 0 {
-            Tier::Reference
-        } else {
-            Tier::Fast
-        }
+        self.inner.tier
     }
 
     // -------------------------------------------------------- quarantine
@@ -297,8 +281,10 @@ impl Runtime {
     }
 
     /// This runtime's arena high-water mark: the most `f32` elements
-    /// ever simultaneously checked out of its arena (see
-    /// [`crate::arena::high_water`]).
+    /// ever simultaneously checked out of its arena since the runtime
+    /// was built. Only arena-sized buffers count; this is the
+    /// live-scratch-memory figure the streaming evaluation's
+    /// bounded-memory gate asserts on.
     pub fn arena_high_water(&self) -> usize {
         self.inner.arena.high_water()
     }

@@ -16,16 +16,12 @@
 //!   certificate, and hold the trained smoke detector's decoded
 //!   detections, mAP and PWC/CWC equal across tiers.
 //!
-//! The tier lives on the [`crate::runtime::Runtime`] current at the
-//! call site (chosen by [`crate::RuntimeConfig::tier`] or
-//! [`crate::Runtime::set_tier`]; [`current`] reads it) and
-//! is read **once per executor run** (plan compilation is
-//! tier-independent), so toggling it mid-run never mixes kernels within
-//! one forward/backward pass, and two concurrent runtimes can run
-//! different tiers in one process. The autodiff tape itself always runs
-//! the reference kernels — it is the oracle.
-
-use crate::runtime;
+//! The tier is fixed by the [`crate::RuntimeConfig::tier`] of the
+//! [`crate::runtime::Runtime`] current at the call site
+//! ([`crate::Runtime::tier`] reads it), so two concurrent runtimes can
+//! run different tiers in one process. Plan compilation is
+//! tier-independent. The autodiff tape itself always runs the reference
+//! kernels — it is the oracle.
 
 /// Which kernel family the compiled engines execute with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,11 +40,6 @@ impl Tier {
             Tier::Fast => "fast",
         }
     }
-}
-
-/// The current runtime's selected execution tier.
-pub fn current() -> Tier {
-    runtime::current().tier()
 }
 
 #[cfg(test)]

@@ -49,9 +49,9 @@
 //! default. Under [`crate::tier::Tier::Fast`] the three conv GEMMs
 //! (forward, grad-weight, grad-input) and the standalone leaky
 //! epilogue route through the [`crate::simd`] f32x8 kernels instead,
-//! trading bitwise tape identity for the certified-ulp contract. The
-//! tier is latched once in [`TrainPlan::forward`] and carried on the
-//! [`TrainStep`], so one step's forward and backward always agree.
+//! trading bitwise tape identity for the certified-ulp contract. A
+//! [`TrainStep`] runs its backward on the runtime of its forward, so
+//! both use the same tier.
 
 use std::sync::Mutex;
 
@@ -70,7 +70,7 @@ use crate::profile;
 use crate::runtime::{self, Runtime};
 use crate::simd::{self, Act};
 use crate::tensor::Tensor;
-use crate::tier::{self, Tier};
+use crate::tier::Tier;
 
 /// Default im2col column-cache budget: 256 MiB of activation memory.
 pub const DEFAULT_COL_BUDGET: usize = 256 << 20;
@@ -158,9 +158,8 @@ impl TrainPlan {
         );
         let n = input.shape()[0];
         assert!(n > 0, "train batch must be non-empty");
-        // latched once and carried on the step: forward and backward of
-        // one step always run the same kernel tier
-        let fast = tier::current() == Tier::Fast;
+        let rt = runtime::current();
+        let fast = rt.tier() == Tier::Fast;
 
         let mut vals: Vec<Vec<f32>> = self
             .ir
@@ -415,9 +414,8 @@ impl TrainPlan {
 
         TrainStep {
             plan: self,
-            rt: runtime::current(),
+            rt,
             n,
-            fast,
             need_param_grads,
             vals,
             grads: Vec::new(),
@@ -457,8 +455,6 @@ pub struct TrainStep<'p> {
     /// so the step's buffers stay within one runtime's arena.
     rt: Runtime,
     n: usize,
-    /// Kernel tier latched at forward time; backward reuses it.
-    fast: bool,
     need_param_grads: bool,
     vals: Vec<Vec<f32>>,
     grads: Vec<Vec<f32>>,
@@ -730,7 +726,7 @@ impl TrainStep<'_> {
             let xd = &self.vals[c.x];
             let cache: Option<&[f32]> = self.cols_cache[oi].as_deref();
             let need_pg = self.need_param_grads;
-            let fast = self.fast;
+            let fast = self.rt.tier() == Tier::Fast;
             let mut gx_tmp: Option<Vec<f32>> =
                 (compute_gx && !c.gx_direct).then(|| arena::take(n * in_len));
             let gw_partials: Vec<Option<Vec<f32>>> = {

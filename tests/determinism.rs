@@ -7,22 +7,24 @@
 //! tests pin that contract, from a single conv kernel up to a full
 //! attack-training run.
 
-use std::sync::Mutex;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use road_decals_repro::attack as rd;
 use road_decals_repro::detector::{TinyYolo, YoloConfig};
 use road_decals_repro::scene::CameraRig;
-use road_decals_repro::tensor::{parallel, Graph, ParamSet, Tensor};
+use road_decals_repro::tensor::{Graph, ParamSet, Runtime, RuntimeConfig, Tensor};
 
-/// The thread budget is process-global, so tests that flip it must not
-/// interleave.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
+/// Runs `f` on a fresh runtime with a `threads`-worker budget.
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    Runtime::new(RuntimeConfig {
+        threads,
+        ..RuntimeConfig::default()
+    })
+    .enter(f)
+}
 
-fn conv_fwd_bwd(threads: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    parallel::set_max_threads(threads);
+fn conv_fwd_bwd() -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut rng = StdRng::seed_from_u64(11);
     let x_t = Tensor::randn(&mut rng, &[6, 3, 16, 16], 1.0);
     let w_t = Tensor::randn(&mut rng, &[8, 3, 3, 3], 0.3);
@@ -33,46 +35,38 @@ fn conv_fwd_bwd(threads: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let p = g.max_pool2d(y, 2, 2, 0);
     let loss = g.sum_all(p);
     let grads = g.backward(loss);
-    let out = (
+    (
         g.value(y).data().to_vec(),
         grads.get(x).data().to_vec(),
         grads.get(w).data().to_vec(),
-    );
-    parallel::set_max_threads(0);
-    out
+    )
 }
 
 #[test]
 fn conv_forward_and_backward_are_bitwise_identical_across_threads() {
-    let _l = THREAD_LOCK.lock().unwrap();
-    let serial = conv_fwd_bwd(1);
+    let serial = with_threads(1, conv_fwd_bwd);
     for threads in [2, 4, 8] {
-        let par = conv_fwd_bwd(threads);
+        let par = with_threads(threads, conv_fwd_bwd);
         assert_eq!(serial.0, par.0, "forward diverged at {threads} threads");
         assert_eq!(serial.1, par.1, "input grad diverged at {threads} threads");
         assert_eq!(serial.2, par.2, "weight grad diverged at {threads} threads");
     }
 }
 
-fn matmul_out(threads: usize) -> Vec<f32> {
-    parallel::set_max_threads(threads);
+fn matmul_out() -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(5);
     // large enough to cross the parallel-matmul threshold (m*k*n >= 2^20)
     let a_t = Tensor::randn(&mut rng, &[128, 96], 1.0);
     let b_t = Tensor::randn(&mut rng, &[96, 128], 1.0);
-    let out = a_t.matmul(&b_t).data().to_vec();
-    parallel::set_max_threads(0);
-    out
+    a_t.matmul(&b_t).data().to_vec()
 }
 
 #[test]
 fn large_matmul_is_bitwise_identical_across_threads() {
-    let _l = THREAD_LOCK.lock().unwrap();
-    assert_eq!(matmul_out(1), matmul_out(4));
+    assert_eq!(with_threads(1, matmul_out), with_threads(4, matmul_out));
 }
 
-fn run_smoke_attack(threads: usize) -> rd::attack::TrainedDecal {
-    parallel::set_max_threads(threads);
+fn run_smoke_attack() -> rd::attack::TrainedDecal {
     let mut rng = StdRng::seed_from_u64(3);
     let mut ps_det = ParamSet::new();
     let detector = TinyYolo::new(&mut ps_det, &mut rng, YoloConfig::smoke());
@@ -82,16 +76,13 @@ fn run_smoke_attack(threads: usize) -> rd::attack::TrainedDecal {
         clips_per_batch: 1,
         ..rd::attack::AttackConfig::smoke()
     };
-    let out = rd::attack::train_decal_attack(&scenario, &detector, &mut ps_det, &cfg);
-    parallel::set_max_threads(0);
-    out
+    rd::attack::train_decal_attack(&scenario, &detector, &mut ps_det, &cfg)
 }
 
 #[test]
 fn attack_training_is_bitwise_identical_across_threads() {
-    let _l = THREAD_LOCK.lock().unwrap();
-    let serial = run_smoke_attack(1);
-    let parallel_run = run_smoke_attack(4);
+    let serial = with_threads(1, run_smoke_attack);
+    let parallel_run = with_threads(4, run_smoke_attack);
     assert_eq!(
         serial.attack_loss, parallel_run.attack_loss,
         "attack-loss curve diverged"
