@@ -3,8 +3,8 @@
 //! The compiled executors assume SSA-like buffer discipline: every
 //! activation slot has exactly one producer, no op updates a slot in
 //! place, and the plan input slot is read-only after the executor
-//! copies the batch in. The lowering guarantees all three today —
-//! `Graph::declare` allocates a fresh slot per tape op and reshapes
+//! copies the batch in. The lowering guarantees all three today — it
+//! allocates a fresh slot per value-producing tape op and reshapes
 //! alias without writing — but nothing downstream re-checks it, and the
 //! parallel fan-out silently depends on it (two producers for one slot
 //! in different groups is a write-write race; see [`crate::race`]).

@@ -202,8 +202,9 @@ pub fn run_grad_audit(tol: f32) -> Vec<OpReport> {
     let mm_b = Tensor::randn(&mut rng, &[3, 2], 0.8);
     let gamma = Tensor::from_vec(vec![1.1, 0.9], &[2]);
     let beta = Tensor::from_vec(vec![0.2, -0.1], &[2]);
-    let run_mean = Tensor::from_vec(vec![0.05, -0.1], &[2]);
-    let run_var = Tensor::from_vec(vec![0.8, 1.3], &[2]);
+    let mut bn_ps = ParamSet::new();
+    let run_mean = bn_ps.register("rmean", Tensor::from_vec(vec![0.05, -0.1], &[2]));
+    let run_var = bn_ps.register("rvar", Tensor::from_vec(vec![0.8, 1.3], &[2]));
     let logits = Tensor::randn(&mut rng, &[3, 4], 1.0);
     let bce_target = Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0], &[4]);
     let mse_target = Tensor::from_vec(vec![0.1, -0.2, 0.4, 0.0], &[4]);
@@ -311,30 +312,30 @@ pub fn run_grad_audit(tol: f32) -> Vec<OpReport> {
         // sum_all of plain batch norm is gradient-free in x (the output
         // mean is pinned to beta), so square the output to exercise the
         // full backward formula.
-        let (y, _) = g.batch_norm2d_train(x, ga, be, 1e-5);
+        let (y, _) = g.batch_norm2d_train(x, ga, be, run_mean, run_var, 1e-5);
         g.mul(y, y)
     });
     case("batch_norm2d_train ∂gamma", &gamma, &|g, x| {
         let xx = g.input(img.clone());
         let be = g.input(beta.clone());
-        let (y, _) = g.batch_norm2d_train(xx, x, be, 1e-5);
+        let (y, _) = g.batch_norm2d_train(xx, x, be, run_mean, run_var, 1e-5);
         g.mul(y, y)
     });
     case("batch_norm2d_train ∂beta", &beta, &|g, x| {
         let xx = g.input(img.clone());
         let ga = g.input(gamma.clone());
-        let (y, _) = g.batch_norm2d_train(xx, ga, x, 1e-5);
+        let (y, _) = g.batch_norm2d_train(xx, ga, x, run_mean, run_var, 1e-5);
         g.mul(y, y)
     });
     case("batch_norm2d_eval ∂x", &img, &|g, x| {
         let ga = g.input(gamma.clone());
         let be = g.input(beta.clone());
-        g.batch_norm2d_eval(x, ga, be, &run_mean, &run_var, 1e-5)
+        g.batch_norm2d_eval(x, ga, be, &bn_ps, run_mean, run_var, 1e-5)
     });
     case("batch_norm2d_eval ∂gamma", &gamma, &|g, x| {
         let xx = g.input(img.clone());
         let be = g.input(beta.clone());
-        g.batch_norm2d_eval(xx, x, be, &run_mean, &run_var, 1e-5)
+        g.batch_norm2d_eval(xx, x, be, &bn_ps, run_mean, run_var, 1e-5)
     });
     case("softmax_cross_entropy_rows", &logits, &|g, x| {
         g.softmax_cross_entropy_rows(x, &[0, 3, 1])
@@ -348,9 +349,9 @@ pub fn run_grad_audit(tol: f32) -> Vec<OpReport> {
     // ---- compiled-plan fused backward kernels ----
     // The rows above audit the tape's backward closures; the rows below
     // audit the fused kernels of the compiled training step instead.
-    // Each net is declared at batch 1 (params carrying their pids),
-    // compiled into a TrainPlan, and differentiated through the plan's
-    // own forward/backward, covering conv+bn(train|eval)+leaky chains,
+    // Each net is traced shape-only at batch 1, compiled into a
+    // TrainPlan, and differentiated through the plan's own
+    // forward/backward, covering conv+bn(train|eval)+leaky chains,
     // conv+bias, max-pool scatter, nearest-upsample scatter, channel
     // concat, and the standalone leaky kernel.
     {
@@ -360,41 +361,22 @@ pub fn run_grad_audit(tol: f32) -> Vec<OpReport> {
         let beta = ps.register("beta", Tensor::from_vec(vec![0.2, -0.1, 0.05], &[3]));
         let rmean = ps.register("rmean", Tensor::from_vec(vec![0.05, -0.1, 0.0], &[3]));
         let rvar = ps.register("rvar", Tensor::from_vec(vec![0.8, 1.3, 1.0], &[3]));
-        let declare = |train_bn: bool| -> (Graph, VarId) {
-            let mut g = Graph::new();
-            let x = g.declare("input", &[], &[], &[1, 2, 4, 4]);
-            let wv = g.declare("param", &[], &[("pid", w.index())], &[3, 2, 3, 3]);
-            let y = g.declare(
-                "conv2d",
-                &[x, wv],
-                &[("stride", 1), ("pad", 1)],
-                &[1, 3, 4, 4],
-            );
-            let ga = g.declare("param", &[], &[("pid", gamma.index())], &[3]);
-            let be = g.declare("param", &[], &[("pid", beta.index())], &[3]);
-            let y = g.declare(
-                if train_bn {
-                    "batch_norm2d_train"
-                } else {
-                    "batch_norm2d_eval"
-                },
-                &[y, ga, be],
-                &[
-                    ("rmean_pid", rmean.index()),
-                    ("rvar_pid", rvar.index()),
-                    ("eps_bits", 1e-5f32.to_bits() as usize),
-                ],
-                &[1, 3, 4, 4],
-            );
-            let y = g.declare(
-                "leaky_relu",
-                &[y],
-                &[("alpha_bits", 0.1f32.to_bits() as usize)],
-                &[1, 3, 4, 4],
-            );
+        let trace = |ps: &ParamSet, train_bn: bool| -> (Graph, VarId) {
+            let mut g = Graph::shape_only();
+            let x = g.input(Tensor::zeros(&[1, 2, 4, 4]));
+            let wv = g.param(ps, w);
+            let y = g.conv2d(x, wv, None, 1, 1);
+            let ga = g.param(ps, gamma);
+            let be = g.param(ps, beta);
+            let y = if train_bn {
+                g.batch_norm2d_train(y, ga, be, rmean, rvar, 1e-5).0
+            } else {
+                g.batch_norm2d_eval(y, ga, be, ps, rmean, rvar, 1e-5)
+            };
+            let y = g.leaky_relu(y, 0.1);
             (g, y)
         };
-        let (g, root) = declare(true);
+        let (g, root) = trace(&ps, true);
         let plan = TrainPlan::compile(&g, &[root]).expect("fused bn-train chain compiles");
         for (name, wrt) in [
             ("plan conv_bn_train_leaky ∂x", None),
@@ -404,7 +386,7 @@ pub fn run_grad_audit(tol: f32) -> Vec<OpReport> {
         ] {
             reports.push(audit_plan_case(name, &mut ps, &plan, &img, wrt, tol));
         }
-        let (g, root) = declare(false);
+        let (g, root) = trace(&ps, false);
         let plan = TrainPlan::compile(&g, &[root]).expect("fused bn-eval chain compiles");
         for (name, wrt) in [
             ("plan conv_bn_eval_leaky ∂x", None),
@@ -418,34 +400,18 @@ pub fn run_grad_audit(tol: f32) -> Vec<OpReport> {
         let mut ps = ParamSet::new();
         let w = ps.register("w", Tensor::randn(&mut rng, &[2, 2, 1, 1], 0.6));
         let b = ps.register("b", Tensor::from_vec(vec![0.3, -0.2], &[2]));
-        let mut g = Graph::new();
-        let x = g.declare("input", &[], &[], &[1, 2, 4, 4]);
-        let wv = g.declare("param", &[], &[("pid", w.index())], &[2, 2, 1, 1]);
-        let y = g.declare(
-            "conv2d",
-            &[x, wv],
-            &[("stride", 1), ("pad", 0)],
-            &[1, 2, 4, 4],
-        );
-        let bv = g.declare("param", &[], &[("pid", b.index())], &[2]);
-        let y = g.declare("add_bias_channel", &[y, bv], &[], &[1, 2, 4, 4]);
+        let mut g = Graph::shape_only();
+        let x = g.input(Tensor::zeros(&[1, 2, 4, 4]));
+        let wv = g.param(&ps, w);
+        let bv = g.param(&ps, b);
+        let y = g.conv2d(x, wv, Some(bv), 1, 0);
         // branch 1: pool then upsample back to 4x4
-        let p = g.declare(
-            "max_pool2d",
-            &[y],
-            &[("k", 2), ("stride", 2), ("pad", 0)],
-            &[1, 2, 2, 2],
-        );
-        let u = g.declare("upsample_nearest2x", &[p], &[], &[1, 2, 4, 4]);
+        let p = g.max_pool2d(y, 2, 2, 0);
+        let u = g.upsample_nearest2x(p);
         // branch 2: leaky off the same conv output — a second reader,
         // so it compiles to the standalone (unfused) leaky kernel
-        let l = g.declare(
-            "leaky_relu",
-            &[y],
-            &[("alpha_bits", 0.1f32.to_bits() as usize)],
-            &[1, 2, 4, 4],
-        );
-        let cat = g.declare("concat_channels", &[u, l], &[], &[1, 4, 4, 4]);
+        let l = g.leaky_relu(y, 0.1);
+        let cat = g.concat_channels(u, l);
         let plan = TrainPlan::compile(&g, &[cat]).expect("pool/upsample/concat net compiles");
         for (name, wrt) in [
             ("plan conv_bias+pool+up+concat ∂x", None),

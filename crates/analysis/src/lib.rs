@@ -13,8 +13,9 @@
 //!   *all* mismatches with op-path traces (e.g.
 //!   `head16/conv3: conv2d weight OC×C×K×K has C=32, input NCHW has
 //!   C=64`) instead of panicking on the first. Works on eager tapes and
-//!   on shape-only tapes built with [`rd_tensor::Graph::declare`], which
-//!   lets model builders check their wiring before any kernel runs.
+//!   on [`rd_tensor::Graph::shape_only`] tapes, where a model traces its
+//!   own forward without running a kernel, so the models check their
+//!   wiring before any kernel runs.
 //! * [`lint`] — graph lints: parameters unreachable from the loss, dead
 //!   nodes never consumed, fan-in anomalies, and parameters whose
 //!   gradient is structurally always zero.
@@ -51,12 +52,12 @@
 //!
 //! # Examples
 //!
-//! Validate a shape-only model description before running it:
+//! Validate a hand-written shape-only tape:
 //!
 //! ```
 //! use rd_tensor::Graph;
 //!
-//! let mut g = Graph::new();
+//! let mut g = Graph::shape_only();
 //! let x = g.declare("input", &[], &[], &[1, 64, 12, 12]);
 //! g.push_scope("head16");
 //! // 3x3 conv whose weight expects 32 input channels — mis-wired.

@@ -9,7 +9,7 @@ use rd_tensor::{Graph, ParamSet, Tensor};
 fn validation_names_the_offending_layer_in_a_declared_net() {
     // A three-block conv stack declared shape-only; the middle block's
     // weight claims 8 input channels while block one produces 16.
-    let mut g = Graph::new();
+    let mut g = Graph::shape_only();
     let x = g.declare("input", &[], &[], &[1, 3, 32, 32]);
     let y = g.scoped("stem/conv1", |g| {
         let w = g.declare("param", &[], &[], &[16, 3, 3, 3]);
@@ -52,7 +52,7 @@ fn zero_sized_dimension_is_flagged_as_underflow() {
     // padded input used to be declared with a saturated (bogus) output
     // dim. The validator must flag both the impossible conv and any
     // node that declares a zero-sized dimension outright.
-    let mut g = Graph::new();
+    let mut g = Graph::shape_only();
     let x = g.declare("input", &[], &[], &[1, 3, 2, 2]);
     g.scoped("stem/conv1", |g| {
         let w = g.declare("param", &[], &[], &[4, 3, 5, 5]);
@@ -70,7 +70,7 @@ fn zero_sized_dimension_is_flagged_as_underflow() {
         "conv underflow not named: {msg}"
     );
 
-    let mut g = Graph::new();
+    let mut g = Graph::shape_only();
     let x = g.declare("input", &[], &[], &[1, 3, 0, 8]);
     g.declare("relu", &[x], &[], &[1, 3, 0, 8]);
     let issues = validate(&g).unwrap_err();

@@ -97,7 +97,7 @@ fn every_real_plan_audits_clean() {
 
 #[test]
 fn infer_and_grad_plans_agree_op_for_op() {
-    // Both plans lower `declare_forward` through the one lowering; only
+    // Both plans lower the eval forward's trace through the one lowering; only
     // the engine-specific fields may differ.
     let (det, ps) = random_detector(19);
     let infer = det.infer_plan(&ps).meta();
@@ -123,6 +123,136 @@ fn infer_and_grad_plans_agree_op_for_op() {
         };
         assert_eq!(strip(i), strip(g), "{}", i.path);
     }
+}
+
+/// FNV-1a over a string's bytes.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the structure of all 8 plans the models cache, as an FNV digest
+/// of each `PlanMeta`'s `Debug` form. A change that moves any compiled
+/// plan must update its pin here and say why in CHANGES.md.
+#[test]
+fn cached_plan_structure_is_pinned() {
+    let mut metas: Vec<(String, PlanMeta)> = Vec::new();
+    for (scale, cfg) in [
+        ("smoke", YoloConfig::smoke()),
+        ("standard", YoloConfig::standard()),
+    ] {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut ps = ParamSet::new();
+        let det = TinyYolo::new(&mut ps, &mut rng, cfg);
+        metas.push((
+            format!("detector/{scale}/infer"),
+            det.infer_plan(&ps).meta(),
+        ));
+        metas.push((
+            format!("detector/{scale}/train"),
+            det.train_plan(&ps).meta(),
+        ));
+        metas.push((format!("detector/{scale}/grad"), det.grad_plan(&ps).meta()));
+    }
+    let (gen, disc, ps_g, ps_d) = gan_models(1);
+    metas.push(("gan/generator".into(), gen.infer_plan(&ps_g).meta()));
+    metas.push(("gan/discriminator".into(), disc.infer_plan(&ps_d).meta()));
+    let pins: [(&str, u64); 8] = [
+        ("detector/smoke/infer", 0xb878_f130_1dde_a2eb),
+        ("detector/smoke/train", 0x1de2_6b78_e27f_2502),
+        ("detector/smoke/grad", 0xcf02_1496_f514_87bc),
+        ("detector/standard/infer", 0x9b58_0a26_4f59_44f3),
+        ("detector/standard/train", 0x3604_9888_00f2_649e),
+        ("detector/standard/grad", 0x57cd_5c18_c85b_57e8),
+        ("gan/generator", 0x8a1d_d992_0498_c57d),
+        ("gan/discriminator", 0x2602_b31c_74c5_5e31),
+    ];
+    assert_eq!(metas.len(), pins.len());
+    for ((tag, meta), (pin_tag, pin)) in metas.iter().zip(pins) {
+        assert_eq!(tag, pin_tag);
+        let digest = fnv1a(&format!("{meta:?}"));
+        assert_eq!(
+            digest, pin,
+            "{tag}: plan structure changed ({digest:#018x})"
+        );
+    }
+}
+
+/// Asserts that a shape-only trace and an eager tape record the same
+/// metadata node for node: op, parents, attrs, scope and shape.
+fn assert_same_metas(tag: &str, traced: &Graph, eager: &Graph) {
+    assert_eq!(traced.len(), eager.len(), "{tag}: node count");
+    for (i, (t, e)) in traced.metas().iter().zip(eager.metas()).enumerate() {
+        assert_eq!(format!("{t:?}"), format!("{e:?}"), "{tag}: node {i}");
+    }
+}
+
+/// The panic message of `f`.
+fn panic_message(f: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn shape_only_trace_matches_the_eager_tape() {
+    // The compiled plans and `validate` read each network's forward
+    // traced on a shape-only tape at batch 1; that trace must be the
+    // tape the network records when it runs.
+    for cfg in [YoloConfig::smoke(), YoloConfig::standard()] {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut ps = ParamSet::new();
+        let det = TinyYolo::new(&mut ps, &mut rng, cfg);
+        let s = cfg.input;
+        for training in [false, true] {
+            let mut run = |mut g: Graph| {
+                let x = g.input(Tensor::zeros(&[1, 3, s, s]));
+                det.forward(&mut g, &mut ps, x, training);
+                g
+            };
+            let traced = run(Graph::shape_only());
+            let eager = run(Graph::new());
+            let tag = format!("detector {s}px, training {training}");
+            assert_same_metas(&tag, &traced, &eager);
+        }
+    }
+    let (gen, disc, mut ps_g, ps_d) = gan_models(4);
+    let cfg = GanConfig::default();
+    for training in [false, true] {
+        let mut run = |mut g: Graph| {
+            let z = g.input(Tensor::zeros(&[1, cfg.z_dim]));
+            gen.forward(&mut g, &mut ps_g, z, training);
+            g
+        };
+        let tag = format!("generator, training {training}");
+        assert_same_metas(&tag, &run(Graph::shape_only()), &run(Graph::new()));
+    }
+    let run = |mut g: Graph| {
+        let x = g.input(Tensor::zeros(&[1, 1, cfg.canvas, cfg.canvas]));
+        disc.forward(&mut g, &ps_d, x, false);
+        g
+    };
+    assert_same_metas(
+        "discriminator",
+        &run(Graph::shape_only()),
+        &run(Graph::new()),
+    );
+
+    // a shape-only node has no value, and ops without a shape-only form
+    // refuse to run
+    let mut g = Graph::shape_only();
+    let x = g.input(Tensor::zeros(&[1, 4]));
+    let msg = panic_message(|| {
+        g.value(x);
+    });
+    assert!(msg.contains("shape-only tape and has no value"), "{msg}");
+    let msg = panic_message(|| {
+        g.add(x, x);
+    });
+    assert!(msg.contains("Graph::add has no shape-only form"), "{msg}");
 }
 
 #[test]

@@ -12,9 +12,8 @@
 //! * TinyYolo — inference plan, training plan, gradient (frozen-eval)
 //!   plan, at the standard 96×96 configuration;
 //! * Generator / Discriminator — inference plans. Their training runs
-//!   on the tape (the generator's linear head has no train-plan
-//!   lowering yet), so the binary *attempts* the train compile and
-//!   reports `tape-only` instead of failing when it is unsupported.
+//!   on the tape: `TrainPlan` has no backward for `linear`, `relu` or
+//!   `sigmoid`.
 //!
 //! Per plan it prints op/buffer statistics (op count, fused convs,
 //! slots, peak live per-sample activation footprint) and every analyzer
@@ -36,7 +35,7 @@ use rd_analysis::{certify_logit_bounds, liveness, KernelModel, PlanIr};
 use rd_bench::arg;
 use rd_detector::{TinyYolo, YoloConfig};
 use rd_gan::{Discriminator, GanConfig, Generator};
-use rd_tensor::{Graph, ParamSet, PlanMeta, TrainPlan};
+use rd_tensor::{ParamSet, PlanMeta};
 
 /// One audited plan's statistics and findings.
 struct Report {
@@ -145,7 +144,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             .map(|i| format!("detector: {i}")),
     );
 
-    // --- GAN: inference plans, plus a train-compile attempt ----------
+    // --- GAN: inference plans ----------------------------------------
     let cfg = GanConfig::default();
     let mut ps_g = ParamSet::new();
     let mut ps_d = ParamSet::new();
@@ -172,36 +171,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|i| format!("discriminator: {i}")),
     );
-
-    // GAN training runs on the tape today; audit the train lowering
-    // when it compiles so it is covered the day it lands.
-    for (tag, g, root, ps) in [
-        (
-            "gan/generator/train",
-            {
-                let mut g = Graph::new();
-                let r = gen.declare_forward(&mut g, &ps_g, 1);
-                (g, r)
-            },
-            &ps_g,
-        ),
-        (
-            "gan/discriminator/train",
-            {
-                let mut g = Graph::new();
-                let r = disc.declare_forward(&mut g, &ps_d, 1);
-                (g, r)
-            },
-            &ps_d,
-        ),
-    ]
-    .map(|(tag, (g, r), ps)| (tag, g, r, ps))
-    {
-        match TrainPlan::compile(&g, &[root]) {
-            Ok(plan) => reports.push(audit(tag, &plan.meta(), ps, None)),
-            Err(e) => println!("{tag:<24} tape-only (train plan unsupported: {e})"),
-        }
-    }
 
     // --- render ------------------------------------------------------
     println!(

@@ -60,14 +60,10 @@ pub struct AttackConfig {
     /// Opt-in graph auditing: validate detector/GAN wiring before the
     /// first step, lint the first step's tape, and scan every step's tape
     /// for non-finite values with provenance reports (`--audit` on the
-    /// train/repro binaries).
+    /// train/repro binaries). Audit runs take each frame's frozen
+    /// detector through the tape instead of the compiled gradient plan
+    /// (bitwise-identical), so those checks see the full graph.
     pub audit: bool,
-    /// Route each frame's frozen-detector forward/backward through the
-    /// compiled [`rd_tensor::TrainPlan`] (parameter-gradient work
-    /// skipped; bitwise-identical to the tape). Audit runs force the
-    /// tape so lint/non-finite provenance still sees the full graph.
-    /// Not part of the checkpoint fingerprint.
-    pub compiled: bool,
 }
 
 impl AttackConfig {
@@ -87,7 +83,6 @@ impl AttackConfig {
             d_every: 2,
             seed: 7,
             audit: false,
-            compiled: true,
         }
     }
 
@@ -337,8 +332,7 @@ fn eval_frame(
     // runs force the tape so lint/provenance see the full graph. Both
     // routes are bitwise-identical (asserted in
     // `compiled_attack_matches_tape_bitwise`).
-    let use_compiled = ctx.cfg.compiled && !ctx.cfg.audit && !lint_tape;
-    let lf = if use_compiled {
+    let lf = if !ctx.cfg.audit {
         if job.cc.is_empty() && job.fc.is_empty() {
             return None;
         }
@@ -596,14 +590,7 @@ impl<'a> AttackTrainer<'a> {
             // so the compiled plan skips the tape entirely (it is
             // bitwise-identical to the eval-mode tape forward)
             let z_t = Tensor::randn(&mut self.rng, &[8, self.gan_cfg.z_dim], 1.0);
-            let fake_t = if cfg.compiled {
-                self.gen.infer(&self.ps_g, &z_t)
-            } else {
-                let mut g = Graph::new();
-                let z = g.input(z_t);
-                let f = self.gen.forward(&mut g, &mut self.ps_g, z, false);
-                g.into_value(f)
-            };
+            let fake_t = self.gen.infer(&self.ps_g, &z_t);
             let mut g = Graph::new();
             let rv = g.input(real);
             let fv = g.input(fake_t);
@@ -895,7 +882,7 @@ impl<'a> AttackTrainer<'a> {
             cfg,
             mut rng,
             gan_cfg,
-            mut ps_g,
+            ps_g,
             gen,
             silhouette,
             z_star,
@@ -913,14 +900,7 @@ impl<'a> AttackTrainer<'a> {
             .collect();
         let mut best: Option<(usize, Plane)> = None;
         for z_t in candidates {
-            let patch_t = if cfg.compiled {
-                gen.infer(&ps_g, &z_t)
-            } else {
-                let mut g = Graph::new();
-                let z = g.input(z_t);
-                let patch = gen.forward(&mut g, &mut ps_g, z, false);
-                g.into_value(patch)
-            };
+            let patch_t = gen.infer(&ps_g, &z_t);
             let plane = Plane::from_vec(patch_t.into_vec(), canvas, canvas);
             let decal = Decal::mono(&plane, silhouette.clone(), cfg.shape);
             let flips = digital_flip_rate(
@@ -1187,12 +1167,13 @@ mod tests {
             clips_per_batch: 1,
             ..AttackConfig::smoke()
         };
+        // audit runs take every frame through the tape
         let tape = train_decal_attack(
             &scenario,
             &detector,
             &mut ps_det,
             &AttackConfig {
-                compiled: false,
+                audit: true,
                 ..base
             },
         );
@@ -1203,11 +1184,7 @@ mod tests {
             ..RuntimeConfig::default()
         });
         let (compiled, paths) = profiled.enter(|| {
-            let cfg = AttackConfig {
-                compiled: true,
-                ..base
-            };
-            let out = train_decal_attack(&scenario, &detector, &mut ps_det, &cfg);
+            let out = train_decal_attack(&scenario, &detector, &mut ps_det, &base);
             (out, rd_tensor::profile::snapshot())
         });
         assert!(

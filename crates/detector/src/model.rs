@@ -12,14 +12,16 @@ use std::sync::OnceLock;
 use rand::Rng;
 
 use rd_tensor::{
-    init, shape::conv_out_dim, BatchStats, Graph, InferPlan, ParamId, ParamSet, Tensor, TrainPlan,
+    fold_running_stats, init, BatchStats, Graph, InferPlan, ParamId, ParamSet, Tensor, TrainPlan,
     VarId,
 };
 
 use crate::anchors::ANCHORS_PER_HEAD;
 
 const BN_EPS: f32 = 1e-5;
-const BN_MOMENTUM: f32 = 0.9;
+/// Running-stat momentum of every batch norm, on the tape and compiled
+/// training paths alike.
+pub(crate) const BN_MOMENTUM: f32 = 0.9;
 const LEAKY_SLOPE: f32 = 0.1;
 
 /// Batch statistics collected during a training forward, folded into
@@ -84,70 +86,16 @@ impl ConvBlock {
         let y = g.conv2d(x, w, None, self.stride, self.pad);
         let gamma = g.param(ps, self.gamma);
         let beta = g.param(ps, self.beta);
+        let (rm, rv) = (self.running_mean, self.running_var);
         let y = match mode {
             BnMode::Train(pending) => {
-                let (y, stats) = g.batch_norm2d_train(y, gamma, beta, BN_EPS);
-                pending.push((self.running_mean, self.running_var, stats));
+                let (y, stats) = g.batch_norm2d_train(y, gamma, beta, rm, rv, BN_EPS);
+                pending.push((rm, rv, stats));
                 y
             }
-            BnMode::Eval => {
-                let rm = ps.get(self.running_mean).value().clone();
-                let rv = ps.get(self.running_var).value().clone();
-                g.batch_norm2d_eval(y, gamma, beta, &rm, &rv, BN_EPS)
-            }
+            BnMode::Eval => g.batch_norm2d_eval(y, gamma, beta, ps, rm, rv, BN_EPS),
         };
         g.leaky_relu(y, LEAKY_SLOPE)
-    }
-
-    /// Shape-only lowering of the block (see [`TinyYolo::declare_forward`]).
-    /// `train_bn` selects the `batch_norm2d_train` declare form used by
-    /// the compiled training plan; both forms carry the same attrs.
-    fn declare(&self, g: &mut Graph, ps: &ParamSet, x: VarId, train_bn: bool) -> VarId {
-        let xs = g.meta(x).expected_shape.clone();
-        let ws = ps.get(self.w).value().shape().to_vec();
-        let w = g.declare("param", &[], &[("pid", self.w.index())], &ws);
-        let ho = conv_out_dim("h", xs[2], ws[2], self.pad, self.stride);
-        let wo = conv_out_dim("w", xs[3], ws[3], self.pad, self.stride);
-        let y = g.declare(
-            "conv2d",
-            &[x, w],
-            &[("stride", self.stride), ("pad", self.pad)],
-            &[xs[0], ws[0], ho, wo],
-        );
-        let out_shape = g.meta(y).expected_shape.clone();
-        let gamma = g.declare(
-            "param",
-            &[],
-            &[("pid", self.gamma.index())],
-            ps.get(self.gamma).value().shape(),
-        );
-        let beta = g.declare(
-            "param",
-            &[],
-            &[("pid", self.beta.index())],
-            ps.get(self.beta).value().shape(),
-        );
-        let bn_op = if train_bn {
-            "batch_norm2d_train"
-        } else {
-            "batch_norm2d_eval"
-        };
-        let y = g.declare(
-            bn_op,
-            &[y, gamma, beta],
-            &[
-                ("rmean_pid", self.running_mean.index()),
-                ("rvar_pid", self.running_var.index()),
-                ("eps_bits", BN_EPS.to_bits() as usize),
-            ],
-            &out_shape,
-        );
-        g.declare(
-            "leaky_relu",
-            &[y],
-            &[("alpha_bits", LEAKY_SLOPE.to_bits() as usize)],
-            &out_shape,
-        )
     }
 }
 
@@ -187,29 +135,6 @@ impl HeadConv {
         let w = g.param(ps, self.w);
         let b = g.param(ps, self.b);
         g.conv2d(x, w, Some(b), 1, 0)
-    }
-
-    /// Shape-only lowering (see [`TinyYolo::declare_forward`]).
-    fn declare(&self, g: &mut Graph, ps: &ParamSet, x: VarId) -> VarId {
-        let xs = g.meta(x).expected_shape.clone();
-        let ws = ps.get(self.w).value().shape().to_vec();
-        let w = g.declare("param", &[], &[("pid", self.w.index())], &ws);
-        let ho = conv_out_dim("h", xs[2], ws[2], 0, 1);
-        let wo = conv_out_dim("w", xs[3], ws[3], 0, 1);
-        let y = g.declare(
-            "conv2d",
-            &[x, w],
-            &[("stride", 1), ("pad", 0)],
-            &[xs[0], ws[0], ho, wo],
-        );
-        let out_shape = g.meta(y).expected_shape.clone();
-        let b = g.declare(
-            "param",
-            &[],
-            &[("pid", self.b.index())],
-            ps.get(self.b).value().shape(),
-        );
-        g.declare("add_bias_channel", &[y, b], &[], &out_shape)
     }
 }
 
@@ -359,7 +284,7 @@ impl TinyYolo {
         x: VarId,
         mode: &mut BnMode<'_>,
     ) -> YoloOutputs {
-        let shape = g.value(x).shape().to_vec();
+        let shape = g.shape(x);
         assert_eq!(shape.len(), 4, "input must be NCHW");
         assert_eq!(shape[1], 3, "input must be RGB");
         assert_eq!(shape[2], self.cfg.input, "input height mismatch");
@@ -412,26 +337,8 @@ impl TinyYolo {
         let out = self.forward_mode(g, ps, x, &mut BnMode::Train(&mut pending));
         // fold batch statistics into the running stats (their gradients
         // are never written, so the optimizer leaves them untouched)
-        Self::fold_running_stats(ps, &pending);
+        fold_running_stats(ps, &pending, BN_MOMENTUM);
         out
-    }
-
-    /// Momentum-folds collected batch statistics into the running-stat
-    /// parameters: `r = momentum*r + (1-momentum)*batch`. Shared by the
-    /// tape training forward and the compiled training step (which gets
-    /// its pending list from [`rd_tensor::TrainStep::bn_stats`]), so the
-    /// two paths move the running stats bitwise-identically.
-    pub fn fold_running_stats(ps: &mut ParamSet, pending: &[(ParamId, ParamId, BatchStats)]) {
-        for (rmean, rvar, stats) in pending {
-            let rm = ps.get_mut(*rmean).value_mut();
-            for (r, &b) in rm.data_mut().iter_mut().zip(stats.mean.data()) {
-                *r = BN_MOMENTUM * *r + (1.0 - BN_MOMENTUM) * b;
-            }
-            let rv = ps.get_mut(*rvar).value_mut();
-            for (r, &b) in rv.data_mut().iter_mut().zip(stats.var.data()) {
-                *r = BN_MOMENTUM * *r + (1.0 - BN_MOMENTUM) * b;
-            }
-        }
     }
 
     /// Eval-mode forward through a *shared* parameter set.
@@ -444,8 +351,27 @@ impl TinyYolo {
         self.forward_mode(g, ps, x, &mut BnMode::Eval)
     }
 
+    /// [`TinyYolo::forward_mode`] traced on a shape-only tape over a
+    /// `batch`-sized input: eval-mode batch norm, or batch statistics
+    /// with `train_bn`. The compiled plans lower this trace at batch 1 and
+    /// [`TinyYolo::validate`] checks it, so both see the network that
+    /// runs.
+    fn trace(&self, ps: &ParamSet, batch: usize, train_bn: bool) -> (Graph, YoloOutputs) {
+        let mut g = Graph::shape_only();
+        let s = self.cfg.input;
+        let x = g.input(Tensor::zeros(&[batch, 3, s, s]));
+        let mut pending = PendingStats::new();
+        let mut mode = if train_bn {
+            BnMode::Train(&mut pending)
+        } else {
+            BnMode::Eval
+        };
+        let out = self.forward_mode(&mut g, ps, x, &mut mode);
+        (g, out)
+    }
+
     /// The compiled grad-free inference plan for this architecture,
-    /// built on first use from the shape-only declare lowering.
+    /// built on first use from the shape-only trace.
     ///
     /// The plan stores only structure (op list, buffer sizes, parameter
     /// ids); [`TinyYolo::infer`] reads weights out of the `ParamSet` at
@@ -453,8 +379,7 @@ impl TinyYolo {
     /// steps and checkpoint restores.
     pub fn infer_plan(&self, ps: &ParamSet) -> &InferPlan {
         self.plan.get_or_init(|| {
-            let mut g = Graph::new();
-            let out = self.declare_forward(&mut g, ps, 1);
+            let (g, out) = self.trace(ps, 1, false);
             let plan = InferPlan::compile(&g, &[out.coarse, out.fine])
                 .expect("TinyYolo lowering must compile to an inference plan");
             rd_analysis::audit_plan_or_panic("detector/infer", &plan.meta(), ps);
@@ -463,15 +388,14 @@ impl TinyYolo {
     }
 
     /// The compiled training-step plan (batch-statistics batch norm),
-    /// built on first use from the training-mode declare lowering.
+    /// built on first use from the training-mode trace.
     ///
     /// Like [`TinyYolo::infer_plan`] the plan stores only structure;
     /// weights and running stats are read from the `ParamSet` per step,
     /// so the cached plan stays valid across updates and restores.
     pub fn train_plan(&self, ps: &ParamSet) -> &TrainPlan {
         self.train_plan.get_or_init(|| {
-            let mut g = Graph::new();
-            let out = self.declare_train(&mut g, ps, 1);
+            let (g, out) = self.trace(ps, 1, true);
             let plan = TrainPlan::compile(&g, &[out.coarse, out.fine])
                 .expect("TinyYolo train lowering must compile to a training plan");
             rd_analysis::audit_plan_or_panic("detector/train", &plan.meta(), ps);
@@ -480,13 +404,12 @@ impl TinyYolo {
     }
 
     /// The compiled eval-mode gradient plan (frozen running statistics):
-    /// a [`TrainPlan`] over the same lowering as the inference plan, for
+    /// a [`TrainPlan`] over the same trace as the inference plan, for
     /// paths that need gradients *through* the frozen detector — the
     /// attack loop's input-gradient computation.
     pub fn grad_plan(&self, ps: &ParamSet) -> &TrainPlan {
         self.grad_plan.get_or_init(|| {
-            let mut g = Graph::new();
-            let out = self.declare_forward(&mut g, ps, 1);
+            let (g, out) = self.trace(ps, 1, false);
             let plan = TrainPlan::compile(&g, &[out.coarse, out.fine])
                 .expect("TinyYolo eval lowering must compile to a gradient plan");
             rd_analysis::audit_plan_or_panic("detector/grad", &plan.meta(), ps);
@@ -509,99 +432,18 @@ impl TinyYolo {
         (coarse, fine)
     }
 
-    /// Lowers the architecture onto `g` as *shape-only* declared nodes —
-    /// no kernel runs, no forward value is computed. The resulting
-    /// metadata tape mirrors [`TinyYolo::forward`] (eval mode) node for
-    /// node and is what [`TinyYolo::validate`] feeds to
-    /// `rd_analysis::validate`.
-    pub fn declare_forward(&self, g: &mut Graph, ps: &ParamSet, batch: usize) -> YoloOutputs {
-        self.declare_mode(g, ps, batch, false)
-    }
-
-    /// Training-mode lowering: identical wiring to
-    /// [`TinyYolo::declare_forward`] with `batch_norm2d_train` declares,
-    /// feeding [`TinyYolo::train_plan`].
-    pub fn declare_train(&self, g: &mut Graph, ps: &ParamSet, batch: usize) -> YoloOutputs {
-        self.declare_mode(g, ps, batch, true)
-    }
-
-    fn declare_mode(
-        &self,
-        g: &mut Graph,
-        ps: &ParamSet,
-        batch: usize,
-        train_bn: bool,
-    ) -> YoloOutputs {
-        let s = self.cfg.input;
-        let x = g.declare("input", &[], &[], &[batch, 3, s, s]);
-        let pool = |g: &mut Graph, x: VarId| {
-            let xs = g.meta(x).expected_shape.clone();
-            // darknet pool arithmetic: ho = (h + pad - k) / stride + 1
-            g.declare(
-                "max_pool2d",
-                &[x],
-                &[("k", 2), ("stride", 2), ("pad", 0)],
-                &[
-                    xs[0],
-                    xs[1],
-                    conv_out_dim("h", xs[2], 2, 0, 2),
-                    conv_out_dim("w", xs[3], 2, 0, 2),
-                ],
-            )
-        };
-
-        let y = g.scoped("c1", |g| self.c1.declare(g, ps, x, train_bn));
-        let y = pool(g, y);
-        let y = g.scoped("c2", |g| self.c2.declare(g, ps, y, train_bn));
-        let y = pool(g, y);
-        let y = g.scoped("c3", |g| self.c3.declare(g, ps, y, train_bn));
-        let y = pool(g, y);
-        let y = g.scoped("c4", |g| self.c4.declare(g, ps, y, train_bn));
-        let y = pool(g, y);
-        let feat16 = g.scoped("c5", |g| self.c5.declare(g, ps, y, train_bn));
-        let y = pool(g, feat16);
-        let y = g.scoped("c6", |g| self.c6.declare(g, ps, y, train_bn));
-        let bottleneck = g.scoped("c7", |g| self.c7.declare(g, ps, y, train_bn));
-
-        let h1 = g.scoped("h1pre", |g| {
-            self.head1_pre.declare(g, ps, bottleneck, train_bn)
-        });
-        let coarse = g.scoped("h1", |g| self.head1.declare(g, ps, h1));
-
-        let r = g.scoped("route", |g| self.route.declare(g, ps, bottleneck, train_bn));
-        let rs = g.meta(r).expected_shape.clone();
-        let r = g.declare(
-            "upsample_nearest2x",
-            &[r],
-            &[],
-            &[rs[0], rs[1], rs[2] * 2, rs[3] * 2],
-        );
-        let fs = g.meta(feat16).expected_shape.clone();
-        let rs = g.meta(r).expected_shape.clone();
-        let cat = g.declare(
-            "concat_channels",
-            &[feat16, r],
-            &[],
-            &[fs[0], fs[1] + rs[1], fs[2], fs[3]],
-        );
-        let h2 = g.scoped("h2pre", |g| self.head2_pre.declare(g, ps, cat, train_bn));
-        let fine = g.scoped("h2", |g| self.head2.declare(g, ps, h2));
-
-        YoloOutputs { coarse, fine }
-    }
-
     /// Statically validates the wiring of the model against the parameter
-    /// shapes registered in `ps`, before any kernel runs. Returns every
-    /// shape inconsistency found, each anchored to the offending layer's
-    /// scope path (e.g. `c4/conv2d: conv2d weight OC×C×K×K has C=16,
-    /// input NCHW has C=32`).
+    /// shapes registered in `ps`, before any kernel runs, by checking the
+    /// eval forward's shape-only trace. Returns every shape inconsistency
+    /// found, each anchored to the offending layer's scope path (e.g.
+    /// `c4/conv2d: conv2d weight OC×C×K×K has C=16, input NCHW has
+    /// C=32`).
     pub fn validate(
         &self,
         ps: &ParamSet,
         batch: usize,
     ) -> Result<(), Vec<rd_analysis::ShapeIssue>> {
-        let mut g = Graph::new();
-        let out = self.declare_forward(&mut g, ps, batch);
+        let (g, out) = self.trace(ps, batch, false);
         rd_analysis::validate_with_root(&g, out.fine)
     }
 }

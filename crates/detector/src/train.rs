@@ -16,12 +16,12 @@ use rd_scene::dataset::Sample;
 use rd_scene::GtBox;
 use rd_tensor::io::{Checkpoint, CheckpointError};
 use rd_tensor::optim::{Adam, StepOutcome};
-use rd_tensor::{Graph, ParamSet, Runtime, Tensor};
+use rd_tensor::{fold_running_stats, Graph, ParamSet, Runtime, Tensor};
 use rd_vision::Image;
 
 use crate::decode::{postprocess, Detection};
 use crate::loss::{build_targets, yolo_head_loss, HeadTargets, YoloLossWeights};
-use crate::model::TinyYolo;
+use crate::model::{TinyYolo, BN_MOMENTUM};
 
 /// Training hyper-parameters. Defaults mirror the paper's optimizer choice
 /// (Adam, lr 1e-4) with epoch counts scaled to CPU budgets.
@@ -305,7 +305,7 @@ impl<'a> DetectorTrainer<'a> {
         let mut step = plan.forward(self.ps, batch, true);
         // same fold point as the tape path: end of forward, before the
         // loss and any non-finite gating
-        TinyYolo::fold_running_stats(self.ps, step.bn_stats());
+        fold_running_stats(self.ps, step.bn_stats(), BN_MOMENTUM);
         let mut g = Graph::new();
         let coarse = g.input(step.output(0));
         let fine = g.input(step.output(1));

@@ -35,7 +35,8 @@ use rand::Rng;
 use std::sync::OnceLock;
 
 use rd_tensor::{
-    init, optim::Adam, shape::conv_out_dim, Graph, InferPlan, ParamId, ParamSet, Tensor, VarId,
+    fold_running_stats, init, optim::Adam, BatchStats, Graph, InferPlan, ParamId, ParamSet, Tensor,
+    VarId,
 };
 use rd_vision::shapes::{four_shapes_sample, Shape};
 
@@ -61,7 +62,18 @@ impl Default for GanConfig {
 }
 
 const BN_EPS: f32 = 1e-5;
-const BN_MOMENTUM: f32 = 0.9;
+
+/// Batch statistics collected during a training forward, folded into
+/// the running-stat parameters after the graph is built.
+type PendingStats = Vec<(ParamId, ParamId, BatchStats)>;
+
+/// Batch-norm mode of the generator's single forward: training mode uses
+/// batch statistics (collecting them for a deferred running-stat
+/// update), eval mode reads the frozen running statistics.
+enum BnMode<'s> {
+    Train(&'s mut PendingStats),
+    Eval,
+}
 
 /// conv + BN + relu sub-block used by the generator.
 #[derive(Debug)]
@@ -87,69 +99,21 @@ impl GenBlock {
         }
     }
 
-    fn forward(&self, g: &mut Graph, ps: &mut ParamSet, x: VarId, training: bool) -> VarId {
+    fn forward(&self, g: &mut Graph, ps: &ParamSet, x: VarId, mode: &mut BnMode<'_>) -> VarId {
         let w = g.param(ps, self.w);
         let y = g.conv2d(x, w, None, 1, 1);
         let gamma = g.param(ps, self.gamma);
         let beta = g.param(ps, self.beta);
-        let y = if training {
-            let (y, stats) = g.batch_norm2d_train(y, gamma, beta, BN_EPS);
-            let rm = ps.get_mut(self.rmean).value_mut();
-            for (r, &b) in rm.data_mut().iter_mut().zip(stats.mean.data()) {
-                *r = BN_MOMENTUM * *r + (1.0 - BN_MOMENTUM) * b;
+        let (rm, rv) = (self.rmean, self.rvar);
+        let y = match mode {
+            BnMode::Train(pending) => {
+                let (y, stats) = g.batch_norm2d_train(y, gamma, beta, rm, rv, BN_EPS);
+                pending.push((rm, rv, stats));
+                y
             }
-            let rv = ps.get_mut(self.rvar).value_mut();
-            for (r, &b) in rv.data_mut().iter_mut().zip(stats.var.data()) {
-                *r = BN_MOMENTUM * *r + (1.0 - BN_MOMENTUM) * b;
-            }
-            y
-        } else {
-            let rm = ps.get(self.rmean).value().clone();
-            let rv = ps.get(self.rvar).value().clone();
-            g.batch_norm2d_eval(y, gamma, beta, &rm, &rv, BN_EPS)
+            BnMode::Eval => g.batch_norm2d_eval(y, gamma, beta, ps, rm, rv, BN_EPS),
         };
         g.relu(y)
-    }
-
-    /// Shape-only lowering of the block (see [`Generator::validate`]).
-    /// Parameters carry their `pid` so the lowering also compiles into
-    /// an [`InferPlan`].
-    fn declare(&self, g: &mut Graph, ps: &ParamSet, x: VarId) -> VarId {
-        let xs = g.meta(x).expected_shape.clone();
-        let ws = ps.get(self.w).value().shape().to_vec();
-        let w = g.declare("param", &[], &[("pid", self.w.index())], &ws);
-        let ho = conv_out_dim("h", xs[2], ws[2], 1, 1);
-        let wo = conv_out_dim("w", xs[3], ws[3], 1, 1);
-        let y = g.declare(
-            "conv2d",
-            &[x, w],
-            &[("stride", 1), ("pad", 1)],
-            &[xs[0], ws[0], ho, wo],
-        );
-        let os = g.meta(y).expected_shape.clone();
-        let gamma = g.declare(
-            "param",
-            &[],
-            &[("pid", self.gamma.index())],
-            ps.get(self.gamma).value().shape(),
-        );
-        let beta = g.declare(
-            "param",
-            &[],
-            &[("pid", self.beta.index())],
-            ps.get(self.beta).value().shape(),
-        );
-        let y = g.declare(
-            "batch_norm2d_eval",
-            &[y, gamma, beta],
-            &[
-                ("rmean_pid", self.rmean.index()),
-                ("rvar_pid", self.rvar.index()),
-                ("eps_bits", BN_EPS.to_bits() as usize),
-            ],
-            &os,
-        );
-        g.declare("relu", &[y], &[], &os)
     }
 }
 
@@ -199,8 +163,23 @@ impl Generator {
     }
 
     /// Maps latents `z: [N, z_dim]` to decals `[N, 1, canvas, canvas]`.
+    /// `training` selects batch-norm mode (and updates running statistics
+    /// inside `ps` when true).
     pub fn forward(&self, g: &mut Graph, ps: &mut ParamSet, z: VarId, training: bool) -> VarId {
-        let n = g.value(z).shape()[0];
+        if !training {
+            return self.forward_mode(g, ps, z, &mut BnMode::Eval);
+        }
+        let mut pending = PendingStats::new();
+        let out = self.forward_mode(g, ps, z, &mut BnMode::Train(&mut pending));
+        // running stats move 10% of the way to each batch's statistics
+        fold_running_stats(ps, &pending, 0.9);
+        out
+    }
+
+    /// The single forward both batch-norm modes share; the eval mode
+    /// needs only a shared `ps`.
+    fn forward_mode(&self, g: &mut Graph, ps: &ParamSet, z: VarId, mode: &mut BnMode<'_>) -> VarId {
+        let n = g.shape(z)[0];
         let s0 = self.cfg.canvas / 4;
         let c0 = self.cfg.base * 2;
         let (y, ow, ob) = g.scoped("gen", |g| {
@@ -210,9 +189,9 @@ impl Generator {
             let y = g.leaky_relu(y, 0.1);
             let y = g.reshape(y, &[n, c0, s0, s0]);
             let y = g.upsample_nearest2x(y);
-            let y = g.scoped("b1", |g| self.b1.forward(g, ps, y, training));
+            let y = g.scoped("b1", |g| self.b1.forward(g, ps, y, mode));
             let y = g.upsample_nearest2x(y);
-            let y = g.scoped("b2", |g| self.b2.forward(g, ps, y, training));
+            let y = g.scoped("b2", |g| self.b2.forward(g, ps, y, mode));
             let ow = g.param(ps, self.out_w);
             let ob = g.param(ps, self.out_b);
             (y, ow, ob)
@@ -221,73 +200,21 @@ impl Generator {
         g.sigmoid(y)
     }
 
-    /// Shape-only lowering of the generator (eval mode), mirroring
-    /// [`Generator::forward`] node for node.
-    pub fn declare_forward(&self, g: &mut Graph, ps: &ParamSet, batch: usize) -> VarId {
-        let s0 = self.cfg.canvas / 4;
-        let c0 = self.cfg.base * 2;
-        let z = g.declare("input", &[], &[], &[batch, self.cfg.z_dim]);
-        let y = g.scoped("gen", |g| {
-            let ws = ps.get(self.fc_w).value().shape().to_vec();
-            let w = g.declare("param", &[], &[("pid", self.fc_w.index())], &ws);
-            let b = g.declare(
-                "param",
-                &[],
-                &[("pid", self.fc_b.index())],
-                ps.get(self.fc_b).value().shape(),
-            );
-            let y = g.declare("linear", &[z, w, b], &[], &[batch, ws[0]]);
-            let y = g.declare(
-                "leaky_relu",
-                &[y],
-                &[("alpha_bits", 0.1f32.to_bits() as usize)],
-                &[batch, ws[0]],
-            );
-            let y = g.declare("reshape", &[y], &[], &[batch, c0, s0, s0]);
-            let y = g.declare(
-                "upsample_nearest2x",
-                &[y],
-                &[],
-                &[batch, c0, s0 * 2, s0 * 2],
-            );
-            let y = g.scoped("b1", |g| self.b1.declare(g, ps, y));
-            let ys = g.meta(y).expected_shape.clone();
-            let y = g.declare(
-                "upsample_nearest2x",
-                &[y],
-                &[],
-                &[ys[0], ys[1], ys[2] * 2, ys[3] * 2],
-            );
-            g.scoped("b2", |g| self.b2.declare(g, ps, y))
-        });
-        let ys = g.meta(y).expected_shape.clone();
-        let ws = ps.get(self.out_w).value().shape().to_vec();
-        let ow = g.declare("param", &[], &[("pid", self.out_w.index())], &ws);
-        let ho = conv_out_dim("h", ys[2], ws[2], 1, 1);
-        let wo = conv_out_dim("w", ys[3], ws[3], 1, 1);
-        let y = g.declare(
-            "conv2d",
-            &[y, ow],
-            &[("stride", 1), ("pad", 1)],
-            &[ys[0], ws[0], ho, wo],
-        );
-        let os = g.meta(y).expected_shape.clone();
-        let ob = g.declare(
-            "param",
-            &[],
-            &[("pid", self.out_b.index())],
-            ps.get(self.out_b).value().shape(),
-        );
-        let y = g.declare("add_bias_channel", &[y, ob], &[], &os);
-        g.declare("sigmoid", &[y], &[], &os)
+    /// The eval forward traced on a shape-only tape over `batch`
+    /// latents: what [`Generator::infer_plan`] lowers (at batch 1) and
+    /// [`Generator::validate`] checks.
+    fn trace(&self, ps: &ParamSet, batch: usize) -> (Graph, VarId) {
+        let mut g = Graph::shape_only();
+        let z = g.input(Tensor::zeros(&[batch, self.cfg.z_dim]));
+        let out = self.forward_mode(&mut g, ps, z, &mut BnMode::Eval);
+        (g, out)
     }
 
     /// The compiled grad-free inference plan for the generator's eval
-    /// path, built on first use from the shape-only declare lowering.
+    /// path, built on first use from the shape-only trace.
     pub fn infer_plan(&self, ps: &ParamSet) -> &InferPlan {
         self.plan.get_or_init(|| {
-            let mut g = Graph::new();
-            let out = self.declare_forward(&mut g, ps, 1);
+            let (g, out) = self.trace(ps, 1);
             let plan = InferPlan::compile(&g, &[out])
                 .expect("generator lowering must compile to an inference plan");
             rd_analysis::audit_plan_or_panic("gan/generator", &plan.meta(), ps);
@@ -305,14 +232,14 @@ impl Generator {
     }
 
     /// Statically validates the generator's wiring against the parameter
-    /// shapes registered in `ps`, before any kernel runs.
+    /// shapes registered in `ps`, before any kernel runs, by checking the
+    /// eval forward's shape-only trace.
     pub fn validate(
         &self,
         ps: &ParamSet,
         batch: usize,
     ) -> Result<(), Vec<rd_analysis::ShapeIssue>> {
-        let mut g = Graph::new();
-        let out = self.declare_forward(&mut g, ps, batch);
+        let (g, out) = self.trace(ps, batch);
         rd_analysis::validate_with_root(&g, out)
     }
 }
@@ -360,7 +287,7 @@ impl Discriminator {
     /// gradient write-back never reaches this discriminator (used for the
     /// generator step).
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, x: VarId, frozen: bool) -> VarId {
-        let n = g.value(x).shape()[0];
+        let n = g.shape(x)[0];
         let s = self.cfg.canvas / 4;
         let p = |g: &mut Graph, id: ParamId| {
             if frozen {
@@ -385,62 +312,22 @@ impl Discriminator {
         })
     }
 
-    /// Shape-only lowering of the discriminator, mirroring
-    /// [`Discriminator::forward`] node for node.
-    pub fn declare_forward(&self, g: &mut Graph, ps: &ParamSet, batch: usize) -> VarId {
+    /// The forward traced on a shape-only tape over `batch` decals, with
+    /// the weights as parameters: what [`Discriminator::infer_plan`]
+    /// lowers (at batch 1) and [`Discriminator::validate`] checks.
+    fn trace(&self, ps: &ParamSet, batch: usize) -> (Graph, VarId) {
+        let mut g = Graph::shape_only();
         let canvas = self.cfg.canvas;
-        let s = canvas / 4;
-        let x = g.declare("input", &[], &[], &[batch, 1, canvas, canvas]);
-        g.scoped("disc", |g| {
-            let conv = |g: &mut Graph, x: VarId, w: ParamId, b: ParamId| {
-                let xs = g.meta(x).expected_shape.clone();
-                let ws = ps.get(w).value().shape().to_vec();
-                let w = g.declare("param", &[], &[("pid", w.index())], &ws);
-                let ho = conv_out_dim("h", xs[2], ws[2], 1, 2);
-                let wo = conv_out_dim("w", xs[3], ws[3], 1, 2);
-                let y = g.declare(
-                    "conv2d",
-                    &[x, w],
-                    &[("stride", 2), ("pad", 1)],
-                    &[xs[0], ws[0], ho, wo],
-                );
-                let os = g.meta(y).expected_shape.clone();
-                let bv = g.declare(
-                    "param",
-                    &[],
-                    &[("pid", b.index())],
-                    ps.get(b).value().shape(),
-                );
-                let y = g.declare("add_bias_channel", &[y, bv], &[], &os);
-                g.declare(
-                    "leaky_relu",
-                    &[y],
-                    &[("alpha_bits", 0.2f32.to_bits() as usize)],
-                    &os,
-                )
-            };
-            let y = conv(g, x, self.c1_w, self.c1_b);
-            let y = conv(g, y, self.c2_w, self.c2_b);
-            let flat = self.cfg.base * 2 * s * s;
-            let y = g.declare("reshape", &[y], &[], &[batch, flat]);
-            let ws = ps.get(self.fc_w).value().shape().to_vec();
-            let fw = g.declare("param", &[], &[("pid", self.fc_w.index())], &ws);
-            let fb = g.declare(
-                "param",
-                &[],
-                &[("pid", self.fc_b.index())],
-                ps.get(self.fc_b).value().shape(),
-            );
-            g.declare("linear", &[y, fw, fb], &[], &[batch, ws[0]])
-        })
+        let x = g.input(Tensor::zeros(&[batch, 1, canvas, canvas]));
+        let out = self.forward(&mut g, ps, x, false);
+        (g, out)
     }
 
     /// The compiled grad-free inference plan for the discriminator's eval
-    /// path, built on first use from the shape-only declare lowering.
+    /// path, built on first use from the shape-only trace.
     pub fn infer_plan(&self, ps: &ParamSet) -> &InferPlan {
         self.plan.get_or_init(|| {
-            let mut g = Graph::new();
-            let out = self.declare_forward(&mut g, ps, 1);
+            let (g, out) = self.trace(ps, 1);
             let plan = InferPlan::compile(&g, &[out])
                 .expect("discriminator lowering must compile to an inference plan");
             rd_analysis::audit_plan_or_panic("gan/discriminator", &plan.meta(), ps);
@@ -458,14 +345,14 @@ impl Discriminator {
     }
 
     /// Statically validates the discriminator's wiring against the
-    /// parameter shapes registered in `ps`, before any kernel runs.
+    /// parameter shapes registered in `ps`, before any kernel runs, by
+    /// checking the forward's shape-only trace.
     pub fn validate(
         &self,
         ps: &ParamSet,
         batch: usize,
     ) -> Result<(), Vec<rd_analysis::ShapeIssue>> {
-        let mut g = Graph::new();
-        let out = self.declare_forward(&mut g, ps, batch);
+        let (g, out) = self.trace(ps, batch);
         rd_analysis::validate_with_root(&g, out)
     }
 }

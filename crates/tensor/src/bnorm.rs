@@ -9,6 +9,7 @@
 //! affine with the same f32 sequence.
 
 use crate::graph::{Graph, VarId};
+use crate::params::{ParamId, ParamSet};
 use crate::tensor::Tensor;
 
 /// Per-channel batch statistics returned by the training-mode forward pass
@@ -19,6 +20,36 @@ pub struct BatchStats {
     pub mean: Tensor,
     /// Per-channel (biased) variance over `N x H x W`.
     pub var: Tensor,
+}
+
+/// Momentum-folds batch statistics into their running-stat parameters,
+/// `r = momentum*r + (1-momentum)*batch`, one `(running mean, running
+/// var, stats)` entry at a time. The tape training forward and the
+/// compiled training step ([`crate::TrainStep::bn_stats`]) both fold
+/// through here, so they move the running stats bitwise-identically.
+pub fn fold_running_stats(
+    ps: &mut ParamSet,
+    pending: &[(ParamId, ParamId, BatchStats)],
+    momentum: f32,
+) {
+    for (rmean, rvar, stats) in pending {
+        for (id, batch) in [(rmean, &stats.mean), (rvar, &stats.var)] {
+            let r = ps.get_mut(*id).value_mut();
+            for (r, &b) in r.data_mut().iter_mut().zip(batch.data()) {
+                *r = momentum * *r + (1.0 - momentum) * b;
+            }
+        }
+    }
+}
+
+/// The attrs both batch norms carry for the plan lowering: the running
+/// statistics' parameter ids and the epsilon's bits.
+fn bn_attrs(rmean: ParamId, rvar: ParamId, eps: f32) -> [(&'static str, usize); 3] {
+    [
+        ("rmean_pid", rmean.index()),
+        ("rvar_pid", rvar.index()),
+        ("eps_bits", eps.to_bits() as usize),
+    ]
 }
 
 /// Per-channel batch mean/variance over `[n, c, hw]` data; the exact
@@ -232,7 +263,10 @@ pub(crate) fn bn_eval_backward_gx_only(
 
 impl Graph {
     /// Training-mode batch norm: normalizes with the batch statistics and
-    /// returns them alongside the output node.
+    /// returns them alongside the output node. The running statistics
+    /// they fold into are not read; their ids are recorded for the plan
+    /// lowering. On a shape-only tape the stats are empty, so folding
+    /// them changes nothing.
     ///
     /// # Panics
     ///
@@ -242,8 +276,22 @@ impl Graph {
         x: VarId,
         gamma: VarId,
         beta: VarId,
+        running_mean: ParamId,
+        running_var: ParamId,
         eps: f32,
     ) -> (VarId, BatchStats) {
+        let attrs = bn_attrs(running_mean, running_var, eps);
+        if self.is_shape_only() {
+            let y = self.declare_like("batch_norm2d_train", &[x, gamma, beta], &attrs);
+            let empty = || Tensor::from_vec(Vec::new(), &[0]);
+            return (
+                y,
+                BatchStats {
+                    mean: empty(),
+                    var: empty(),
+                },
+            );
+        }
         let xv = self.value(x);
         assert_eq!(xv.shape().len(), 4, "batch norm input must be NCHW");
         let (n, c, h, w) = (xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]);
@@ -280,7 +328,7 @@ impl Graph {
         let out_id = self.record(
             "batch_norm2d_train",
             &[x, gamma, beta],
-            &[],
+            &attrs,
             out,
             Some(Box::new(move |g, vals, grads| {
                 let gamma_v = &vals[gamma.0];
@@ -312,22 +360,31 @@ impl Graph {
         (out_id, stats)
     }
 
-    /// Inference-mode batch norm using fixed running statistics. The output
-    /// is an affine function of `x`, so gradients flow through to `x`,
-    /// `gamma` and `beta` (useful when attacking a frozen detector).
+    /// Inference-mode batch norm using the fixed running statistics read
+    /// from `ps`. The output is an affine function of `x`, so gradients
+    /// flow through to `x`, `gamma` and `beta` (useful when attacking a
+    /// frozen detector).
     ///
     /// # Panics
     ///
     /// Panics if shapes are inconsistent.
+    #[allow(clippy::too_many_arguments)]
     pub fn batch_norm2d_eval(
         &mut self,
         x: VarId,
         gamma: VarId,
         beta: VarId,
-        running_mean: &Tensor,
-        running_var: &Tensor,
+        ps: &ParamSet,
+        running_mean: ParamId,
+        running_var: ParamId,
         eps: f32,
     ) -> VarId {
+        let attrs = bn_attrs(running_mean, running_var, eps);
+        if self.is_shape_only() {
+            return self.declare_like("batch_norm2d_eval", &[x, gamma, beta], &attrs);
+        }
+        let (running_mean, running_var) =
+            (ps.get(running_mean).value(), ps.get(running_var).value());
         let xv = self.value(x);
         assert_eq!(xv.shape().len(), 4, "batch norm input must be NCHW");
         let (n, c, h, w) = (xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]);
@@ -354,7 +411,7 @@ impl Graph {
         self.record(
             "batch_norm2d_eval",
             &[x, gamma, beta],
-            &[],
+            &attrs,
             out,
             Some(Box::new(move |g, vals, grads| {
                 let gamma_v = vals[gamma.0].clone();
@@ -389,15 +446,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Running statistics `(ps, mean id, var id)`.
+    fn running(mean: Vec<f32>, var: Vec<f32>) -> (ParamSet, ParamId, ParamId) {
+        let mut ps = ParamSet::new();
+        let c = mean.len();
+        let rm = ps.register("rmean", Tensor::from_vec(mean, &[c]));
+        let rv = ps.register("rvar", Tensor::from_vec(var, &[c]));
+        (ps, rm, rv)
+    }
+
     #[test]
     fn train_mode_normalizes() {
         let mut rng = StdRng::seed_from_u64(1);
         let x0 = Tensor::randn(&mut rng, &[8, 3, 6, 6], 2.0).map(|v| v + 3.0);
+        let (_, rm, rv) = running(vec![0.0; 3], vec![1.0; 3]);
         let mut g = Graph::new();
         let x = g.input(x0);
         let gamma = g.input(Tensor::ones(&[3]));
         let beta = g.input(Tensor::zeros(&[3]));
-        let (y, stats) = g.batch_norm2d_train(x, gamma, beta, 1e-5);
+        let (y, stats) = g.batch_norm2d_train(x, gamma, beta, rm, rv, 1e-5);
         // output should be ~zero-mean unit-var per channel
         let yv = g.value(y);
         let (n, c, h, w) = (8, 3, 6, 6);
@@ -425,12 +492,13 @@ mod tests {
         let x0 = Tensor::randn(&mut rng, &[2, 2, 3, 3], 1.0);
         let g0 = Tensor::from_vec(vec![1.3, 0.7], &[2]);
         let b0 = Tensor::from_vec(vec![0.1, -0.2], &[2]);
+        let (_, rm, rv) = running(vec![0.0; 2], vec![1.0; 2]);
         let run = |x0: &Tensor, g0: &Tensor, b0: &Tensor| {
             let mut g = Graph::new();
             let x = g.input(x0.clone());
             let ga = g.input(g0.clone());
             let be = g.input(b0.clone());
-            let (y, _) = g.batch_norm2d_train(x, ga, be, 1e-5);
+            let (y, _) = g.batch_norm2d_train(x, ga, be, rm, rv, 1e-5);
             let y2 = g.mul(y, y);
             let s = g.sum_all(y2);
             // add an asymmetric term so mean/var gradients are exercised
@@ -464,13 +532,12 @@ mod tests {
     #[test]
     fn eval_mode_is_affine() {
         let x0 = Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]);
-        let mean = Tensor::from_vec(vec![1.0], &[1]);
-        let var = Tensor::from_vec(vec![3.0], &[1]);
+        let (ps, rm, rv) = running(vec![1.0], vec![3.0]);
         let mut g = Graph::new();
         let x = g.input(x0);
         let gamma = g.input(Tensor::from_vec(vec![2.0], &[1]));
         let beta = g.input(Tensor::from_vec(vec![0.5], &[1]));
-        let y = g.batch_norm2d_eval(x, gamma, beta, &mean, &var, 0.0);
+        let y = g.batch_norm2d_eval(x, gamma, beta, &ps, rm, rv, 0.0);
         let iv = 1.0 / 3.0f32.sqrt();
         let want0 = 0.5;
         let want1 = 2.0 * iv + 0.5;
@@ -487,14 +554,13 @@ mod tests {
         let x0 = Tensor::randn(&mut rng, &[2, 2, 2, 2], 1.0);
         let g0 = Tensor::from_vec(vec![1.1, 0.9], &[2]);
         let b0 = Tensor::from_vec(vec![0.3, -0.1], &[2]);
-        let mean = Tensor::from_vec(vec![0.2, -0.4], &[2]);
-        let var = Tensor::from_vec(vec![1.5, 0.8], &[2]);
+        let (ps, rm, rv) = running(vec![0.2, -0.4], vec![1.5, 0.8]);
         let run = |x0: &Tensor, g0: &Tensor, b0: &Tensor| {
             let mut g = Graph::new();
             let x = g.input(x0.clone());
             let ga = g.input(g0.clone());
             let be = g.input(b0.clone());
-            let y = g.batch_norm2d_eval(x, ga, be, &mean, &var, 1e-5);
+            let y = g.batch_norm2d_eval(x, ga, be, &ps, rm, rv, 1e-5);
             let y2 = g.mul(y, y);
             let loss = g.sum_all(y2);
             (g, x, ga, be, loss)

@@ -7,6 +7,7 @@
 //! so results are bitwise identical whatever the thread budget.
 
 use crate::graph::{Graph, VarId};
+use crate::shape::conv_out_dim;
 use crate::tensor::{matmul_into, Tensor};
 
 /// Output-row widths up to this use the register-accumulating GEMM.
@@ -428,6 +429,18 @@ impl Graph {
         stride: usize,
         pad: usize,
     ) -> VarId {
+        let attrs = [("stride", stride), ("pad", pad)];
+        if self.is_shape_only() {
+            let (xs, ws) = (self.shape(x), self.shape(w));
+            let shape = [
+                xs[0],
+                ws[0],
+                conv_out_dim("h", xs[2], ws[2], pad, stride),
+                conv_out_dim("w", xs[3], ws[3], pad, stride),
+            ];
+            let out = self.declare("conv2d", &[x, w], &attrs, &shape);
+            return bias.map_or(out, |b| self.add_bias_channel(out, b));
+        }
         let xv = self.value(x);
         let wv = self.value(w);
         assert_eq!(xv.shape().len(), 4, "conv2d input must be NCHW");
@@ -480,7 +493,7 @@ impl Graph {
         let out = self.record(
             "conv2d",
             &[x, w],
-            &[("stride", stride), ("pad", pad)],
+            &attrs,
             out,
             Some(Box::new(move |g, vals, grads| {
                 let xd = vals[x.0].data();

@@ -7,6 +7,12 @@
 //! remember their [`ParamId`] so gradients can be written back into the
 //! owning [`ParamSet`] with [`Graph::write_grads`].
 //!
+//! A [`Graph::shape_only`] tape runs a network's own forward without
+//! computing anything: the ops the models use record their metadata and
+//! the output shape they would produce, and nothing else. That trace is
+//! what the compiled plans are lowered from and what shape validation
+//! checks, so a model is described once, by its `forward`.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,7 +53,7 @@ impl VarId {
 /// NaN provenance in `rd-analysis`) work entirely off this metadata, so
 /// every op records its name, parents and the shape it claims to
 /// produce. For eagerly-executed ops `expected_shape` always equals the
-/// forward value's shape; for [`Graph::declare`] nodes it is the only
+/// forward value's shape; on a [`Graph::shape_only`] tape it is the only
 /// shape information there is.
 #[derive(Debug, Clone)]
 pub struct OpMeta {
@@ -104,18 +110,20 @@ impl Gradients {
 /// A single-use autodiff tape.
 #[derive(Default)]
 pub struct Graph {
+    /// Forward values; always empty on a shape-only tape.
     values: Vec<Tensor>,
     backs: Vec<Option<BackFn>>,
     metas: Vec<OpMeta>,
     param_links: Vec<(VarId, ParamId, u64)>,
     scope_stack: Vec<String>,
     scope_path: String,
+    shape_only: bool,
 }
 
 impl std::fmt::Debug for Graph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Graph")
-            .field("nodes", &self.values.len())
+            .field("nodes", &self.metas.len())
             .field("params", &self.param_links.len())
             .finish()
     }
@@ -149,19 +157,54 @@ impl Graph {
         Self::default()
     }
 
+    /// Creates an empty *shape-only* tape. No kernel runs on it: `input`,
+    /// `param`, `conv2d`, `add_bias_channel`, both batch norms,
+    /// `leaky_relu`, `relu`, `sigmoid`, `max_pool2d`,
+    /// `upsample_nearest2x`, `concat_channels`, `reshape` and `linear`
+    /// record their metadata and the output shape they claim, without
+    /// asserting that their inputs fit, so a mis-wired network traces to
+    /// the end and `rd-analysis` shape validation can name every bad
+    /// layer. Any other op panics naming itself, and so does
+    /// [`Graph::value`].
+    pub fn shape_only() -> Self {
+        let mut g = Self::default();
+        g.shape_only = true;
+        g
+    }
+
+    /// Whether this is a [`Graph::shape_only`] tape.
+    pub(crate) fn is_shape_only(&self) -> bool {
+        self.shape_only
+    }
+
     /// Number of nodes on the tape.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.metas.len()
     }
 
     /// Whether the tape is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.metas.is_empty()
     }
 
     /// Forward value of a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape-only tape, whose nodes have no value.
     pub fn value(&self, id: VarId) -> &Tensor {
+        assert!(
+            !self.shape_only,
+            "Graph::value: node {} is on a shape-only tape and has no value",
+            id.0
+        );
         &self.values[id.0]
+    }
+
+    /// Shape of a node: its value's shape on an eager tape, the claimed
+    /// shape on a shape-only one.
+    pub fn shape(&self, id: VarId) -> &[usize] {
+        &self.metas[id.0].expected_shape
     }
 
     /// Recorded metadata of a node.
@@ -216,7 +259,24 @@ impl Graph {
         r
     }
 
-    /// Internal append: every public op funnels through here so the
+    /// Panics on a shape-only tape: `op` has no shape-only form.
+    pub(crate) fn eager(&self, op: &str) {
+        assert!(!self.shape_only, "Graph::{op} has no shape-only form");
+    }
+
+    /// The shape-only node of an op whose output has the shape of its
+    /// first parent.
+    pub(crate) fn declare_like(
+        &mut self,
+        op: &'static str,
+        parents: &[VarId],
+        attrs: &[(&'static str, usize)],
+    ) -> VarId {
+        let shape = self.shape(parents[0]).to_vec();
+        self.declare(op, parents, attrs, &shape)
+    }
+
+    /// Internal append: every eager op funnels through here so the
     /// metadata tape stays in lockstep with the value tape.
     pub(crate) fn record(
         &mut self,
@@ -260,6 +320,7 @@ impl Graph {
     /// them. Prefer [`Graph::custom_named`] so lints and shape validation
     /// can see through the op.
     pub fn custom(&mut self, value: Tensor, back: Option<BackFn>) -> VarId {
+        self.eager("custom");
         self.record("custom", &[], &[], value, back)
     }
 
@@ -274,14 +335,17 @@ impl Graph {
         value: Tensor,
         back: Option<BackFn>,
     ) -> VarId {
+        self.eager(op);
         self.record(op, parents, attrs, value, back)
     }
 
-    /// Appends a *shape-only* node: no forward value is computed or
-    /// stored, only metadata claiming `shape`. This lets model builders
-    /// lower their architecture onto a tape and run
-    /// `rd-analysis` shape validation before any kernel executes.
-    /// Declared nodes must not be used with [`Graph::backward`].
+    /// Appends a node to a shape-only tape: metadata claiming `shape`,
+    /// with no value and no backward. The shape-only forms of the ops
+    /// are built on it; analysis tests use it to write a tape by hand.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an eager tape.
     pub fn declare(
         &mut self,
         op: &'static str,
@@ -289,30 +353,41 @@ impl Graph {
         attrs: &[(&'static str, usize)],
         shape: &[usize],
     ) -> VarId {
-        let meta = OpMeta {
+        assert!(
+            self.shape_only,
+            "Graph::declare({op}) needs a shape-only tape (Graph::shape_only)"
+        );
+        self.backs.push(None);
+        self.metas.push(OpMeta {
             op,
             parents: SmallVec::from_slice(parents),
             expected_shape: shape.to_vec(),
             attrs: attrs.to_vec(),
             scope: self.scope_path.clone(),
-        };
-        // Placeholder value: the claimed shape lives in `expected_shape`,
-        // and a scalar keeps memory flat for declaration-only graphs.
-        self.values.push(Tensor::zeros(&[1]));
-        self.backs.push(None);
-        self.metas.push(meta);
-        VarId(self.values.len() - 1)
+        });
+        VarId(self.metas.len() - 1)
     }
 
     /// Registers an input/constant leaf (gradients are still tracked so
     /// adversarial attacks can differentiate with respect to inputs).
+    /// A shape-only tape keeps only the value's shape.
     pub fn input(&mut self, value: Tensor) -> VarId {
+        if self.shape_only {
+            return self.declare("input", &[], &[], value.shape());
+        }
         self.record("input", &[], &[], value, None)
     }
 
-    /// Registers a parameter leaf linked back to `ps`.
+    /// Registers a parameter leaf linked back to `ps`, carrying its id
+    /// as the `pid` attr.
     pub fn param(&mut self, ps: &ParamSet, id: ParamId) -> VarId {
-        let v = self.record("param", &[], &[], ps.get(id).value().clone(), None);
+        let attrs = [("pid", id.index())];
+        let value = ps.get(id).value();
+        let v = if self.shape_only {
+            self.declare("param", &[], &attrs, value.shape())
+        } else {
+            self.record("param", &[], &attrs, value.clone(), None)
+        };
         self.param_links.push((v, id, ps.uid()));
         v
     }
@@ -324,6 +399,7 @@ impl Graph {
     ///
     /// Panics if `loss` holds more than one element.
     pub fn backward(&self, loss: VarId) -> Gradients {
+        self.eager("backward");
         assert_eq!(
             self.values[loss.0].len(),
             1,
@@ -363,6 +439,7 @@ impl Graph {
     /// without cloning it; every other buffer on the tape is recycled
     /// into the scratch arena by `Drop`.
     pub fn into_value(mut self, id: VarId) -> Tensor {
+        self.eager("into_value");
         std::mem::replace(&mut self.values[id.0], Tensor::scalar(0.0))
     }
 
@@ -383,6 +460,7 @@ impl Graph {
 
     /// Elementwise sum of two same-shaped nodes.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
+        self.eager("add");
         let v = self.values[a.0].add(&self.values[b.0]);
         self.record(
             "add",
@@ -398,6 +476,7 @@ impl Graph {
 
     /// Elementwise difference `a - b`.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
+        self.eager("sub");
         let v = self.values[a.0].sub(&self.values[b.0]);
         self.record(
             "sub",
@@ -413,6 +492,7 @@ impl Graph {
 
     /// Elementwise product of two same-shaped nodes.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
+        self.eager("mul");
         let v = self.values[a.0].mul(&self.values[b.0]);
         self.record(
             "mul",
@@ -430,6 +510,7 @@ impl Graph {
 
     /// Multiplies a node by a constant scalar.
     pub fn scale(&mut self, a: VarId, c: f32) -> VarId {
+        self.eager("scale");
         let v = self.values[a.0].scale(c);
         self.record(
             "scale",
@@ -444,6 +525,7 @@ impl Graph {
 
     /// Adds a constant scalar to every element.
     pub fn add_scalar(&mut self, a: VarId, c: f32) -> VarId {
+        self.eager("add_scalar");
         let v = self.values[a.0].map(|x| x + c);
         self.record(
             "add_scalar",
@@ -458,6 +540,7 @@ impl Graph {
 
     /// Elementwise product with a constant tensor (e.g. a fixed mask).
     pub fn mul_const(&mut self, a: VarId, t: &Tensor) -> VarId {
+        self.eager("mul_const");
         let v = self.values[a.0].mul(t);
         let t = t.clone();
         self.record(
@@ -474,6 +557,7 @@ impl Graph {
 
     /// Elementwise sum with a constant tensor.
     pub fn add_const(&mut self, a: VarId, t: &Tensor) -> VarId {
+        self.eager("add_const");
         let v = self.values[a.0].add(t);
         self.record(
             "add_const",
@@ -491,6 +575,7 @@ impl Graph {
     /// This is the differentiable patch-compositing primitive: `a` is the
     /// scene, `b` the (warped) decal and `m` its alpha mask.
     pub fn lerp_mask(&mut self, a: VarId, b: VarId, mask: &Tensor) -> VarId {
+        self.eager("lerp_mask");
         assert_eq!(self.values[a.0].shape(), self.values[b.0].shape());
         assert_eq!(self.values[a.0].shape(), mask.shape());
         let va = &self.values[a.0];
@@ -528,6 +613,9 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: VarId) -> VarId {
+        if self.shape_only {
+            return self.declare_like("relu", &[a], &[]);
+        }
         let v = self.values[a.0].map(|x| x.max(0.0));
         self.record(
             "relu",
@@ -541,13 +629,18 @@ impl Graph {
         )
     }
 
-    /// Leaky rectified linear unit with negative slope `alpha`.
+    /// Leaky rectified linear unit with negative slope `alpha`, carried
+    /// as the `alpha_bits` attr.
     pub fn leaky_relu(&mut self, a: VarId, alpha: f32) -> VarId {
+        let attrs = [("alpha_bits", alpha.to_bits() as usize)];
+        if self.shape_only {
+            return self.declare_like("leaky_relu", &[a], &attrs);
+        }
         let v = self.values[a.0].map(|x| if x > 0.0 { x } else { alpha * x });
         self.record(
             "leaky_relu",
             &[a],
-            &[],
+            &attrs,
             v,
             Some(Box::new(move |g, vals, grads| {
                 let ga = g.zip_map(&vals[a.0], |gv, x| if x > 0.0 { gv } else { alpha * gv });
@@ -558,6 +651,9 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: VarId) -> VarId {
+        if self.shape_only {
+            return self.declare_like("sigmoid", &[a], &[]);
+        }
         let v = self.values[a.0].map(|x| 1.0 / (1.0 + (-x).exp()));
         let out = self.record("sigmoid", &[a], &[], v, None);
         let o = out.0;
@@ -571,6 +667,7 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: VarId) -> VarId {
+        self.eager("tanh");
         let v = self.values[a.0].map(f32::tanh);
         let out = self.record("tanh", &[a], &[], v, None);
         let o = out.0;
@@ -587,6 +684,7 @@ impl Graph {
     /// Inputs are clamped to `eps = 1e-6` from below so gamma correction of
     /// near-black pixels stays finite in both directions.
     pub fn powf_const(&mut self, a: VarId, p: f32) -> VarId {
+        self.eager("powf_const");
         const EPS: f32 = 1e-6;
         let v = self.values[a.0].map(|x| x.max(EPS).powf(p));
         self.record(
@@ -606,6 +704,7 @@ impl Graph {
 
     /// Clamps every element to `[lo, hi]`; gradient passes only inside.
     pub fn clamp(&mut self, a: VarId, lo: f32, hi: f32) -> VarId {
+        self.eager("clamp");
         let v = self.values[a.0].map(|x| x.clamp(lo, hi));
         self.record(
             "clamp",
@@ -621,6 +720,9 @@ impl Graph {
 
     /// Reinterprets the node with a new shape of equal element count.
     pub fn reshape(&mut self, a: VarId, shape: &[usize]) -> VarId {
+        if self.shape_only {
+            return self.declare("reshape", &[a], &[], shape);
+        }
         let v = self.values[a.0].clone().reshape(shape);
         let old_shape = self.values[a.0].shape().to_vec();
         self.record(
@@ -637,6 +739,7 @@ impl Graph {
 
     /// Repeats a single-channel NCHW node `k` times along the channel axis.
     pub fn repeat_channels(&mut self, a: VarId, k: usize) -> VarId {
+        self.eager("repeat_channels");
         let x = &self.values[a.0];
         assert_eq!(x.shape().len(), 4, "repeat_channels needs NCHW");
         assert_eq!(x.shape()[1], 1, "repeat_channels input must have 1 channel");
@@ -671,6 +774,11 @@ impl Graph {
 
     /// Concatenates two NCHW nodes along the channel axis.
     pub fn concat_channels(&mut self, a: VarId, b: VarId) -> VarId {
+        if self.shape_only {
+            let (sa, sb) = (self.shape(a), self.shape(b));
+            let shape = [sa[0], sa[1] + sb[1], sa[2], sa[3]];
+            return self.declare("concat_channels", &[a, b], &[], &shape);
+        }
         let (xa, xb) = (&self.values[a.0], &self.values[b.0]);
         assert_eq!(xa.shape().len(), 4);
         assert_eq!(xb.shape().len(), 4);
@@ -714,6 +822,7 @@ impl Graph {
     ///
     /// Panics if `parts` is empty or trailing dimensions differ.
     pub fn concat_batch(&mut self, parts: &[VarId]) -> VarId {
+        self.eager("concat_batch");
         assert!(!parts.is_empty(), "concat_batch needs at least one node");
         let first_shape = self.values[parts[0].0].shape().to_vec();
         assert!(!first_shape.is_empty());
@@ -759,6 +868,7 @@ impl Graph {
 
     /// Sum of all elements, producing a scalar node.
     pub fn sum_all(&mut self, a: VarId) -> VarId {
+        self.eager("sum_all");
         let v = Tensor::scalar(self.values[a.0].sum());
         self.record(
             "sum_all",
@@ -776,6 +886,7 @@ impl Graph {
 
     /// Mean of all elements, producing a scalar node.
     pub fn mean_all(&mut self, a: VarId) -> VarId {
+        self.eager("mean_all");
         let n = self.values[a.0].len() as f32;
         let v = Tensor::scalar(self.values[a.0].mean());
         self.record(
@@ -794,6 +905,7 @@ impl Graph {
 
     /// Matrix product of two rank-2 nodes.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
+        self.eager("matmul");
         let v = self.values[a.0].matmul(&self.values[b.0]);
         self.record(
             "matmul",
@@ -812,6 +924,10 @@ impl Graph {
     /// Fully connected layer `y = x w^T + b` for `x: [N, I]`, `w: [O, I]`,
     /// `b: [O]`.
     pub fn linear(&mut self, x: VarId, w: VarId, b: VarId) -> VarId {
+        if self.shape_only {
+            let shape = [self.shape(x)[0], self.shape(w)[0]];
+            return self.declare("linear", &[x, w, b], &[], &shape);
+        }
         let xv = &self.values[x.0];
         let wv = &self.values[w.0];
         let bv = &self.values[b.0];
@@ -851,6 +967,9 @@ impl Graph {
 
     /// Adds a per-channel bias `b: [C]` to an NCHW node.
     pub fn add_bias_channel(&mut self, x: VarId, b: VarId) -> VarId {
+        if self.shape_only {
+            return self.declare_like("add_bias_channel", &[x, b], &[]);
+        }
         let xv = &self.values[x.0];
         let bv = &self.values[b.0];
         assert_eq!(xv.shape().len(), 4);

@@ -8,11 +8,12 @@
 //! This module removes that overhead without touching the kernels'
 //! arithmetic:
 //!
-//! - [`InferPlan::compile`] lowers a metadata-only tape built with
-//!   [`Graph::declare`] through `crate::plan`, which fuses `conv2d →
-//!   {add_bias_channel | batch_norm2d_eval} → leaky_relu | relu` chains
-//!   into single kernels. Parameters are referenced by [`crate::ParamId`]
-//!   (carried on the declare nodes as `pid` attrs), so a compiled plan
+//! - [`InferPlan::compile`] lowers a network's forward traced on a
+//!   [`Graph::shape_only`] tape through `crate::plan`, which fuses
+//!   `conv2d → {add_bias_channel | batch_norm2d_eval} → leaky_relu |
+//!   relu` chains into single kernels. Parameters are referenced by
+//!   [`crate::ParamId`] (carried on the `param` nodes as `pid` attrs),
+//!   so a compiled plan
 //!   survives weight updates — values are read fresh from the
 //!   [`ParamSet`] at execution time.
 //! - [`InferPlan::execute`] runs the plan over batched NCHW input with
@@ -61,14 +62,14 @@ use crate::tensor::{matmul_into, Tensor};
 use crate::tier::Tier;
 
 /// A compiled, grad-free execution plan: the shared `crate::plan`
-/// lowering of a declare tape, executed per sample.
+/// lowering of a shape-only trace, executed per sample.
 #[derive(Debug)]
 pub struct InferPlan {
     ir: Plan,
 }
 
 impl InferPlan {
-    /// Compiles a declare-lowered tape (built at batch 1) into a plan
+    /// Compiles a shape-only trace (built at batch 1) into a plan
     /// producing the values of `roots`, in order, with the fusion rules
     /// of `crate::plan`.
     ///
@@ -78,7 +79,7 @@ impl InferPlan {
     /// contains an op the executor does not support (including
     /// `batch_norm2d_train`: inference has no batch statistics), is
     /// missing the `pid`/`eps_bits`/`alpha_bits` attrs the lowering must
-    /// carry, or was not declared at batch 1.
+    /// carry, or was not traced at batch 1.
     pub fn compile(g: &Graph, roots: &[VarId]) -> Result<InferPlan, String> {
         let ir = plan::lower(g, roots, PlanKind::Infer)?;
         Ok(InferPlan { ir })
@@ -505,11 +506,8 @@ mod tests {
     use super::*;
     use crate::params::ParamId;
 
-    /// Declares a conv(3x3, s1, p1) + bn + leaky + maxpool + conv+bias
-    /// net and checks the compiled path matches the tape bitwise.
-    fn tiny_net(
-        ps: &mut ParamSet,
-    ) -> (
+    /// Parameters of [`tiny_body`]: `(w1, gamma, beta, rmean, rvar, w2, b2)`.
+    type Ids = (
         ParamId,
         ParamId,
         ParamId,
@@ -517,7 +515,9 @@ mod tests {
         ParamId,
         ParamId,
         ParamId,
-    ) {
+    );
+
+    fn tiny_net(ps: &mut ParamSet) -> Ids {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(7);
@@ -531,96 +531,37 @@ mod tests {
         (w1, gamma, beta, rmean, rvar, w2, b2)
     }
 
-    fn declare_tiny(
-        g: &mut Graph,
-        ids: &(
-            ParamId,
-            ParamId,
-            ParamId,
-            ParamId,
-            ParamId,
-            ParamId,
-            ParamId,
-        ),
-        train_bn: bool,
-    ) -> VarId {
+    /// A conv(3x3, s1, p1) + bn + leaky + maxpool + conv+bias net on `x`.
+    fn tiny_body(g: &mut Graph, ps: &ParamSet, ids: &Ids, x: VarId, train_bn: bool) -> VarId {
         let (w1, gamma, beta, rmean, rvar, w2, b2) = *ids;
-        let x = g.declare("input", &[], &[], &[1, 3, 8, 8]);
-        let w = g.declare("param", &[], &[("pid", w1.index())], &[4, 3, 3, 3]);
-        let y = g.declare(
-            "conv2d",
-            &[x, w],
-            &[("stride", 1), ("pad", 1)],
-            &[1, 4, 8, 8],
-        );
-        let ga = g.declare("param", &[], &[("pid", gamma.index())], &[4]);
-        let be = g.declare("param", &[], &[("pid", beta.index())], &[4]);
-        let bn_op = if train_bn {
-            "batch_norm2d_train"
-        } else {
-            "batch_norm2d_eval"
-        };
-        let y = g.declare(
-            bn_op,
-            &[y, ga, be],
-            &[
-                ("rmean_pid", rmean.index()),
-                ("rvar_pid", rvar.index()),
-                ("eps_bits", 1e-5f32.to_bits() as usize),
-            ],
-            &[1, 4, 8, 8],
-        );
-        let y = g.declare(
-            "leaky_relu",
-            &[y],
-            &[("alpha_bits", 0.1f32.to_bits() as usize)],
-            &[1, 4, 8, 8],
-        );
-        let y = g.declare(
-            "max_pool2d",
-            &[y],
-            &[("k", 2), ("stride", 2), ("pad", 0)],
-            &[1, 4, 4, 4],
-        );
-        let w = g.declare("param", &[], &[("pid", w2.index())], &[2, 4, 1, 1]);
-        let y = g.declare(
-            "conv2d",
-            &[y, w],
-            &[("stride", 1), ("pad", 0)],
-            &[1, 2, 4, 4],
-        );
-        let b = g.declare("param", &[], &[("pid", b2.index())], &[2]);
-        g.declare("add_bias_channel", &[y, b], &[], &[1, 2, 4, 4])
-    }
-
-    fn tape_tiny(
-        ps: &ParamSet,
-        ids: &(
-            ParamId,
-            ParamId,
-            ParamId,
-            ParamId,
-            ParamId,
-            ParamId,
-            ParamId,
-        ),
-        x0: &Tensor,
-    ) -> Tensor {
-        let (w1, gamma, beta, rmean, rvar, w2, b2) = *ids;
-        let mut g = Graph::new();
-        let x = g.input(x0.clone());
         let w = g.param(ps, w1);
         let y = g.conv2d(x, w, None, 1, 1);
         let ga = g.param(ps, gamma);
         let be = g.param(ps, beta);
-        let rm = ps.get(rmean).value().clone();
-        let rv = ps.get(rvar).value().clone();
-        let y = g.batch_norm2d_eval(y, ga, be, &rm, &rv, 1e-5);
+        let y = if train_bn {
+            g.batch_norm2d_train(y, ga, be, rmean, rvar, 1e-5).0
+        } else {
+            g.batch_norm2d_eval(y, ga, be, ps, rmean, rvar, 1e-5)
+        };
         let y = g.leaky_relu(y, 0.1);
         let y = g.max_pool2d(y, 2, 2, 0);
         let w = g.param(ps, w2);
         let b = g.param(ps, b2);
-        let y = g.conv2d(y, w, Some(b), 1, 0);
+        g.conv2d(y, w, Some(b), 1, 0)
+    }
+
+    /// [`tiny_body`] traced shape-only at batch 1.
+    fn trace_tiny(ps: &ParamSet, ids: &Ids, train_bn: bool) -> (Graph, VarId) {
+        let mut g = Graph::shape_only();
+        let x = g.input(Tensor::zeros(&[1, 3, 8, 8]));
+        let root = tiny_body(&mut g, ps, ids, x, train_bn);
+        (g, root)
+    }
+
+    fn tape_tiny(ps: &ParamSet, ids: &Ids, x0: &Tensor) -> Tensor {
+        let mut g = Graph::new();
+        let x = g.input(x0.clone());
+        let y = tiny_body(&mut g, ps, ids, x, false);
         g.value(y).clone()
     }
 
@@ -630,8 +571,7 @@ mod tests {
         use rand::SeedableRng;
         let mut ps = ParamSet::new();
         let ids = tiny_net(&mut ps);
-        let mut g = Graph::new();
-        let root = declare_tiny(&mut g, &ids, false);
+        let (g, root) = trace_tiny(&ps, &ids, false);
         let plan = InferPlan::compile(&g, &[root]).expect("tiny net compiles");
         assert_eq!(plan.num_ops(), 3, "conv_bn_leaky + pool + conv_bias");
 
@@ -650,8 +590,7 @@ mod tests {
         use rand::SeedableRng;
         let mut ps = ParamSet::new();
         let ids = tiny_net(&mut ps);
-        let mut g = Graph::new();
-        let root = declare_tiny(&mut g, &ids, false);
+        let (g, root) = trace_tiny(&ps, &ids, false);
         let plan = InferPlan::compile(&g, &[root]).expect("tiny net compiles");
         let mut rng = StdRng::seed_from_u64(13);
         let x = Tensor::randn(&mut rng, &[5, 3, 8, 8], 1.0);
@@ -674,7 +613,7 @@ mod tests {
 
     #[test]
     fn compile_rejects_unsupported_ops() {
-        let mut g = Graph::new();
+        let mut g = Graph::shape_only();
         let x = g.declare("input", &[], &[], &[1, 4]);
         let _ = g.declare("softmax", &[x], &[], &[1, 4]);
         let err = InferPlan::compile(&g, &[VarId::from_index(1)]).unwrap_err();
@@ -684,8 +623,7 @@ mod tests {
         // batch norm lowers for TrainPlan only
         let mut ps = ParamSet::new();
         let ids = tiny_net(&mut ps);
-        let mut g = Graph::new();
-        let root = declare_tiny(&mut g, &ids, true);
+        let (g, root) = trace_tiny(&ps, &ids, true);
         assert!(crate::TrainPlan::compile(&g, &[root]).is_ok());
         let err = InferPlan::compile(&g, &[root]).unwrap_err();
         assert!(
@@ -696,8 +634,8 @@ mod tests {
 
     #[test]
     fn compile_rejects_batched_declares() {
-        let mut g = Graph::new();
-        let _ = g.declare("input", &[], &[], &[2, 3, 8, 8]);
+        let mut g = Graph::shape_only();
+        let _ = g.input(Tensor::zeros(&[2, 3, 8, 8]));
         let err = InferPlan::compile(&g, &[VarId::from_index(0)]).unwrap_err();
         assert!(err.contains("batch 1"), "got: {err}");
     }

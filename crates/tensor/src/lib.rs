@@ -17,8 +17,9 @@
 //! * [`io`] — binary weight blobs plus versioned, CRC-guarded training
 //!   checkpoints with atomic writes for crash-safe resume.
 //! * `plan` (crate-private) — the one lowering behind both compiled
-//!   plans: a declare tape becomes a flat, fused op list with a slot
-//!   table, lifted into a [`PlanMeta`] for static analysis.
+//!   plans: a network's forward, traced on a [`Graph::shape_only`]
+//!   tape, becomes a flat, fused op list with a slot table, lifted into
+//!   a [`PlanMeta`] for static analysis.
 //! * [`infer`] — tape-free compiled inference ([`InferPlan`]) for
 //!   grad-free evaluation paths, bitwise-identical to the tape forward.
 //! * [`train_plan`] — the compiled training step ([`TrainPlan`] /
@@ -86,7 +87,7 @@ mod tensor;
 pub mod tier;
 pub mod train_plan;
 
-pub use bnorm::BatchStats;
+pub use bnorm::{fold_running_stats, BatchStats};
 pub use graph::{BackFn, Gradients, Graph, OpMeta, VarId};
 pub use infer::InferPlan;
 pub use linmap::{LinearMap, WarpEntry};

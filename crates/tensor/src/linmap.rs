@@ -245,6 +245,7 @@ impl Graph {
     ///
     /// Panics if the node's spatial dims differ from the map's input grid.
     pub fn warp(&mut self, x: VarId, map: &Arc<LinearMap>) -> VarId {
+        self.eager("warp");
         let xv = self.value(x);
         assert_eq!(xv.shape().len(), 4, "warp input must be NCHW");
         let (n, c, h, w) = (xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]);

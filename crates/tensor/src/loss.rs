@@ -33,6 +33,7 @@ impl Graph {
     ///
     /// Panics if `targets.len() != N` or any target is out of range.
     pub fn softmax_cross_entropy_rows(&mut self, logits: VarId, targets: &[usize]) -> VarId {
+        self.eager("softmax_cross_entropy_rows");
         let lv = self.value(logits);
         assert_eq!(lv.shape().len(), 2, "logits must be [N, C]");
         let (n, c) = (lv.shape()[0], lv.shape()[1]);
@@ -70,6 +71,7 @@ impl Graph {
     ///
     /// Panics if shapes differ.
     pub fn bce_with_logits(&mut self, x: VarId, target: &Tensor) -> VarId {
+        self.eager("bce_with_logits");
         let xv = self.value(x);
         assert_eq!(xv.shape(), target.shape(), "bce target shape mismatch");
         let n = xv.len() as f32;
@@ -107,6 +109,7 @@ impl Graph {
     ///
     /// Panics if shapes differ.
     pub fn mse(&mut self, x: VarId, target: &Tensor) -> VarId {
+        self.eager("mse");
         let xv = self.value(x);
         assert_eq!(xv.shape(), target.shape(), "mse target shape mismatch");
         let n = xv.len() as f32;

@@ -2,8 +2,8 @@
 //!
 //! [`crate::InferPlan`] and [`crate::TrainPlan`] run the same kind of
 //! program: a flat, topologically ordered list of (possibly fused) ops
-//! over per-sample activation slots, lowered from a shape-only
-//! [`Graph::declare`] tape built at batch 1. This module owns that
+//! over per-sample activation slots, lowered from a network's forward
+//! traced on a [`Graph::shape_only`] tape at batch 1. This module owns that
 //! program ([`Plan`]), the single function that builds it ([`lower`])
 //! and the single function that lifts it into a [`PlanMeta`]
 //! ([`Plan::meta`]). The engines differ only in how they execute it:
@@ -24,7 +24,7 @@
 //! needs `alpha > 0` to fuse: the fused backward recovers the input's
 //! sign from the output.
 //!
-//! Parameters are referenced by [`ParamId`] (carried on the declare
+//! Parameters are referenced by [`ParamId`] (carried on the tape
 //! nodes as `pid` / `rmean_pid` / `rvar_pid` attrs, with `eps_bits` and
 //! `alpha_bits` carrying the f32 constants), so a plan survives weight
 //! updates: the executors read values from the [`crate::ParamSet`] each
@@ -213,7 +213,7 @@ pub(crate) struct Plan {
 /// How a tape node maps into the plan while lowering.
 #[derive(Debug, Clone, Copy)]
 enum NodeRef {
-    /// A `param` declare; carries the id resolved from its `pid` attr.
+    /// A `param` node; carries the id resolved from its `pid` attr.
     Param(ParamId),
     /// A value-producing node; carries its activation slot.
     Slot(usize),
@@ -228,7 +228,7 @@ fn last_conv(ops: &mut [Op], slot: usize) -> Option<&mut Conv> {
     }
 }
 
-/// Lowers a declare tape (built at batch 1) into a plan of `kind`
+/// Lowers a shape-only trace (built at batch 1) into a plan of `kind`
 /// producing the values of `roots`, in order.
 ///
 /// # Errors
@@ -236,7 +236,7 @@ fn last_conv(ops: &mut [Op], slot: usize) -> Option<&mut Conv> {
 /// Returns a message naming the offending node when the tape contains
 /// an op the `kind`'s executor cannot run, is missing the attrs the
 /// lowering must carry, would fuse a bias or batch norm into a conv
-/// whose output has other readers, or was not declared at batch 1.
+/// whose output has other readers, or was not traced at batch 1.
 pub(crate) fn lower(g: &Graph, roots: &[VarId], kind: PlanKind) -> Result<Plan, String> {
     let (tag, unsupported): (&str, &[&str]) = match kind {
         // batch statistics do not exist for one sample
@@ -296,7 +296,7 @@ pub(crate) fn lower(g: &Graph, roots: &[VarId], kind: PlanKind) -> Result<Plan, 
         let per_sample = || match meta.expected_shape.split_first() {
             Some((1, per)) => Ok(per.to_vec()),
             _ => Err(format!(
-                "{tag} compile at {path}: plans must be declared at batch 1, got {:?}",
+                "{tag} compile at {path}: plans must be traced at batch 1, got {:?}",
                 meta.expected_shape
             )),
         };
@@ -730,31 +730,15 @@ mod tests {
     /// `y = conv2d(x)`, `a = leaky_relu(y)`, and `y` read once more:
     /// by a max pool (roots `[a, pool(y)]`) or as a root itself
     /// (roots `[a, y]`). Either way the leaky must not overwrite `y`.
-    fn declare_shared(g: &mut Graph, w: ParamId, y_is_root: bool) -> Vec<VarId> {
-        let x = g.declare("input", &[], &[], &[1, 3, 8, 8]);
-        let wv = g.declare("param", &[], &[("pid", w.index())], &[4, 3, 3, 3]);
-        let y = g.declare(
-            "conv2d",
-            &[x, wv],
-            &[("stride", 1), ("pad", 1)],
-            &[1, 4, 8, 8],
-        );
-        let a = g.declare(
-            "leaky_relu",
-            &[y],
-            &[("alpha_bits", ALPHA.to_bits() as usize)],
-            &[1, 4, 8, 8],
-        );
+    fn shared(g: &mut Graph, ps: &ParamSet, w: ParamId, x: VarId, y_is_root: bool) -> Vec<VarId> {
+        let wv = g.param(ps, w);
+        let y = g.conv2d(x, wv, None, 1, 1);
+        let a = g.leaky_relu(y, ALPHA);
         if y_is_root {
-            return vec![a, y];
+            vec![a, y]
+        } else {
+            vec![a, g.max_pool2d(y, 2, 2, 0)]
         }
-        let b = g.declare(
-            "max_pool2d",
-            &[y],
-            &[("k", 2), ("stride", 2), ("pad", 0)],
-            &[1, 4, 4, 4],
-        );
-        vec![a, b]
     }
 
     /// `Σ_roots Σ (r + 0.5)²` over `roots` already on `g`.
@@ -775,14 +759,7 @@ mod tests {
     fn tape(ps: &mut ParamSet, w: ParamId, x0: &Tensor, y_is_root: bool) -> (Vec<Tensor>, Tensor) {
         let mut g = Graph::new();
         let x = g.input(x0.clone());
-        let wv = g.param(ps, w);
-        let y = g.conv2d(x, wv, None, 1, 1);
-        let a = g.leaky_relu(y, ALPHA);
-        let roots = if y_is_root {
-            vec![a, y]
-        } else {
-            vec![a, g.max_pool2d(y, 2, 2, 0)]
-        };
+        let roots = shared(&mut g, ps, w, x, y_is_root);
         let l = loss(&mut g, &roots);
         let grads = g.backward(l);
         let values = roots.iter().map(|&r| g.value(r).clone()).collect();
@@ -798,8 +775,9 @@ mod tests {
         let w = ps.register("w", crate::init::kaiming_conv(&mut rng, 4, 3, 3, 3));
         let x0 = Tensor::randn(&mut rng, &[2, 3, 8, 8], 1.0);
         for y_is_root in [false, true] {
-            let mut g = Graph::new();
-            let roots = declare_shared(&mut g, w, y_is_root);
+            let mut g = Graph::shape_only();
+            let x = g.input(Tensor::zeros(&[1, 3, 8, 8]));
+            let roots = shared(&mut g, &ps, w, x, y_is_root);
             ps.zero_grads();
             let (want, want_gx) = tape(&mut ps, w, &x0, y_is_root);
             let want_gw = ps.get(w).grad().data().to_vec();
@@ -844,17 +822,12 @@ mod tests {
         let mut ps = ParamSet::new();
         let w = ps.register("w", Tensor::zeros(&[4, 3, 3, 3]));
         let b = ps.register("b", Tensor::zeros(&[4]));
-        let mut g = Graph::new();
-        let x = g.declare("input", &[], &[], &[1, 3, 8, 8]);
-        let wv = g.declare("param", &[], &[("pid", w.index())], &[4, 3, 3, 3]);
-        let y = g.declare(
-            "conv2d",
-            &[x, wv],
-            &[("stride", 1), ("pad", 1)],
-            &[1, 4, 8, 8],
-        );
-        let bv = g.declare("param", &[], &[("pid", b.index())], &[4]);
-        let z = g.declare("add_bias_channel", &[y, bv], &[], &[1, 4, 8, 8]);
+        let mut g = Graph::shape_only();
+        let x = g.input(Tensor::zeros(&[1, 3, 8, 8]));
+        let wv = g.param(&ps, w);
+        let y = g.conv2d(x, wv, None, 1, 1);
+        let bv = g.param(&ps, b);
+        let z = g.add_bias_channel(y, bv);
         let roots = [z, y];
         let err = InferPlan::compile(&g, &roots).unwrap_err();
         assert!(

@@ -182,11 +182,17 @@ impl Graph {
     ///
     /// Panics if the input is not NCHW.
     pub fn max_pool2d(&mut self, x: VarId, k: usize, stride: usize, pad: usize) -> VarId {
+        let attrs = [("k", k), ("stride", stride), ("pad", pad)];
+        let out_dim = |d: usize| (d + pad - k) / stride + 1;
+        if self.is_shape_only() {
+            let s = self.shape(x);
+            let shape = [s[0], s[1], out_dim(s[2]), out_dim(s[3])];
+            return self.declare("max_pool2d", &[x], &attrs, &shape);
+        }
         let xv = self.value(x);
         assert_eq!(xv.shape().len(), 4, "max_pool2d input must be NCHW");
         let (n, c, h, w) = (xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]);
-        let ho = (h + pad - k) / stride + 1;
-        let wo = (w + pad - k) / stride + 1;
+        let (ho, wo) = (out_dim(h), out_dim(w));
         let mut out = Tensor::zeros(&[n, c, ho, wo]);
         let mut argmax: Vec<u32> = vec![0; n * c * ho * wo];
         let planes = n * c;
@@ -205,7 +211,7 @@ impl Graph {
         self.record(
             "max_pool2d",
             &[x],
-            &[("k", k), ("stride", stride), ("pad", pad)],
+            &attrs,
             out,
             Some(Box::new(move |g, _vals, grads| {
                 max_pool_backward(
@@ -224,6 +230,11 @@ impl Graph {
 
     /// Nearest-neighbour 2x upsampling of an NCHW node.
     pub fn upsample_nearest2x(&mut self, x: VarId) -> VarId {
+        if self.is_shape_only() {
+            let s = self.shape(x);
+            let shape = [s[0], s[1], s[2] * 2, s[3] * 2];
+            return self.declare("upsample_nearest2x", &[x], &[], &shape);
+        }
         let xv = self.value(x);
         assert_eq!(xv.shape().len(), 4, "upsample input must be NCHW");
         let (n, c, h, w) = (xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]);

@@ -7,7 +7,8 @@
 //! Forward timing is *gap attribution*: ops compute their value before
 //! calling `Graph::record`, so the elapsed time since the previous
 //! recorded op is charged to the op being recorded. Leaf ops (`input`,
-//! `param`, `declare`) reset the mark without charging anyone, so host
+//! `param`) reset the mark without charging anyone, and shape-only
+//! tapes record no samples at all, so host
 //! work (rendering, sampling) between tape touches is not misattributed
 //! to a tensor op. Backward timing is exact: `Graph::backward` brackets
 //! each back-closure call and records it under `<path>/bwd`.

@@ -1,12 +1,12 @@
-//! Checked output-shape arithmetic for conv/pool lowerings.
+//! Checked output-shape arithmetic for conv lowerings.
 //!
-//! Model code used to compute declared conv output dims with
+//! Model code used to compute claimed conv output dims with
 //! `saturating_sub`, so a kernel larger than its (padded) input
 //! silently produced `ho = 1`/`wo = 1` instead of failing — the bogus
 //! shape then surfaced far downstream as a buffer-length mismatch (or
 //! not at all). These helpers make the underflow a descriptive error
-//! at the declare site; `rd_analysis`'s shape validator additionally
-//! flags any declared zero-sized dimension.
+//! where a shape-only `conv2d` claims its shape; `rd_analysis`'s shape
+//! validator additionally flags any claimed zero-sized dimension.
 
 /// Checked conv/pool output dimension along one spatial axis:
 /// `(in + 2·pad − kernel) / stride + 1`.
@@ -37,7 +37,7 @@ pub fn try_conv_out_dim(
     Ok((padded - kernel) / stride + 1)
 }
 
-/// [`try_conv_out_dim`] for declare sites with no error channel.
+/// [`try_conv_out_dim`] for call sites with no error channel.
 ///
 /// # Panics
 ///

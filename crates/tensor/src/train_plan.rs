@@ -3,7 +3,7 @@
 //!
 //! [`crate::infer`] removes the tape's per-node overhead from grad-free
 //! evaluation; this module does the same for the training hot path.
-//! [`TrainPlan::compile`] lowers a declare tape through
+//! [`TrainPlan::compile`] lowers a shape-only trace through
 //! `crate::plan`, which fuses `conv2d → {add_bias_channel |
 //! batch_norm2d_train | batch_norm2d_eval} → leaky_relu` chains, and
 //! [`TrainPlan::forward`] / [`TrainStep::backward`] execute it
@@ -76,7 +76,7 @@ use crate::tier::Tier;
 pub const DEFAULT_COL_BUDGET: usize = 256 << 20;
 
 /// A compiled training step: the shared `crate::plan` lowering of a
-/// declare tape (built at batch 1), executed full-batch at any batch
+/// shape-only trace (built at batch 1), executed full-batch at any batch
 /// size with fused forward/backward kernels.
 #[derive(Debug)]
 pub struct TrainPlan {
@@ -88,10 +88,10 @@ pub struct TrainPlan {
 }
 
 impl TrainPlan {
-    /// Compiles a declare-lowered tape (built at batch 1) into a
+    /// Compiles a shape-only trace (built at batch 1) into a
     /// training plan producing the values of `roots`, in order, with
     /// the fusion rules of `crate::plan`. `batch_norm2d_train`
-    /// declares (carrying `rmean_pid`/`rvar_pid`/`eps_bits` attrs) are
+    /// nodes (carrying `rmean_pid`/`rvar_pid`/`eps_bits` attrs) are
     /// accepted alongside the eval form.
     ///
     /// # Errors
@@ -99,7 +99,7 @@ impl TrainPlan {
     /// Returns a message naming the offending node when the tape
     /// contains an op the executor has no backward for (`relu`,
     /// `sigmoid`, `linear` and anything the lowering rejects), is
-    /// missing required attrs, or was not declared at batch 1.
+    /// missing required attrs, or was not traced at batch 1.
     pub fn compile(g: &Graph, roots: &[VarId]) -> Result<TrainPlan, String> {
         let ir = plan::lower(g, roots, PlanKind::Train)?;
         Ok(TrainPlan {
@@ -491,7 +491,7 @@ impl TrainStep<'_> {
     }
 
     /// Batch statistics of every training-mode batch norm, in op order,
-    /// each with the running mean/var [`ParamId`]s its declare carried —
+    /// each with the running mean/var [`ParamId`]s its node carried —
     /// everything the caller needs for the momentum fold.
     pub fn bn_stats(&self) -> &[(ParamId, ParamId, BatchStats)] {
         &self.bn_stats
@@ -935,68 +935,44 @@ mod tests {
         }
     }
 
-    fn declare_net(g: &mut Graph, ids: &Net, train_bn: bool) -> VarId {
-        let bn_op = if train_bn {
-            "batch_norm2d_train"
+    /// The net of [`net`] on `x`; returns the root and, with `train_bn`,
+    /// the batch norm's statistics.
+    fn net_body(
+        g: &mut Graph,
+        ps: &ParamSet,
+        ids: &Net,
+        x: VarId,
+        train_bn: bool,
+    ) -> (VarId, Option<BatchStats>) {
+        let w1 = g.param(ps, ids.w1);
+        let y = g.conv2d(x, w1, None, 1, 1);
+        let ga = g.param(ps, ids.gamma);
+        let be = g.param(ps, ids.beta);
+        let (rm, rv) = (ids.rmean, ids.rvar);
+        let (y, stats) = if train_bn {
+            let (y, s) = g.batch_norm2d_train(y, ga, be, rm, rv, EPS);
+            (y, Some(s))
         } else {
-            "batch_norm2d_eval"
+            (g.batch_norm2d_eval(y, ga, be, ps, rm, rv, EPS), None)
         };
-        let x = g.declare("input", &[], &[], &[1, 3, 8, 8]);
-        let w = g.declare("param", &[], &[("pid", ids.w1.index())], &[4, 3, 3, 3]);
-        let y = g.declare(
-            "conv2d",
-            &[x, w],
-            &[("stride", 1), ("pad", 1)],
-            &[1, 4, 8, 8],
-        );
-        let ga = g.declare("param", &[], &[("pid", ids.gamma.index())], &[4]);
-        let be = g.declare("param", &[], &[("pid", ids.beta.index())], &[4]);
-        let y = g.declare(
-            bn_op,
-            &[y, ga, be],
-            &[
-                ("rmean_pid", ids.rmean.index()),
-                ("rvar_pid", ids.rvar.index()),
-                ("eps_bits", EPS.to_bits() as usize),
-            ],
-            &[1, 4, 8, 8],
-        );
-        let y0 = g.declare(
-            "leaky_relu",
-            &[y],
-            &[("alpha_bits", ALPHA.to_bits() as usize)],
-            &[1, 4, 8, 8],
-        );
-        let w = g.declare("param", &[], &[("pid", ids.w2.index())], &[2, 4, 1, 1]);
-        let a = g.declare(
-            "conv2d",
-            &[y0, w],
-            &[("stride", 1), ("pad", 0)],
-            &[1, 2, 8, 8],
-        );
-        let b2 = g.declare("param", &[], &[("pid", ids.b2.index())], &[2]);
-        let a = g.declare("add_bias_channel", &[a, b2], &[], &[1, 2, 8, 8]);
-        let p = g.declare(
-            "max_pool2d",
-            &[y0],
-            &[("k", 2), ("stride", 2), ("pad", 0)],
-            &[1, 4, 4, 4],
-        );
-        let u = g.declare("upsample_nearest2x", &[p], &[], &[1, 4, 8, 8]);
-        let w = g.declare("param", &[], &[("pid", ids.w3.index())], &[2, 4, 1, 1]);
-        let b = g.declare(
-            "conv2d",
-            &[u, w],
-            &[("stride", 1), ("pad", 0)],
-            &[1, 2, 8, 8],
-        );
-        let cat = g.declare("concat_channels", &[a, b], &[], &[1, 4, 8, 8]);
-        g.declare(
-            "leaky_relu",
-            &[cat],
-            &[("alpha_bits", ALPHA.to_bits() as usize)],
-            &[1, 4, 8, 8],
-        )
+        let y0 = g.leaky_relu(y, ALPHA);
+        let w2 = g.param(ps, ids.w2);
+        let b2 = g.param(ps, ids.b2);
+        let a = g.conv2d(y0, w2, Some(b2), 1, 0);
+        let p = g.max_pool2d(y0, 2, 2, 0);
+        let u = g.upsample_nearest2x(p);
+        let w3 = g.param(ps, ids.w3);
+        let b = g.conv2d(u, w3, None, 1, 0);
+        let cat = g.concat_channels(a, b);
+        (g.leaky_relu(cat, ALPHA), stats)
+    }
+
+    /// [`net_body`] traced shape-only at batch 1.
+    fn trace_net(ps: &ParamSet, ids: &Net, train_bn: bool) -> (Graph, VarId) {
+        let mut g = Graph::shape_only();
+        let x = g.input(Tensor::zeros(&[1, 3, 8, 8]));
+        let (root, _) = net_body(&mut g, ps, ids, x, train_bn);
+        (g, root)
     }
 
     /// Tape reference: full forward + loss `sum((root+0.5)^2)` +
@@ -1010,28 +986,7 @@ mod tests {
     ) -> (f32, Tensor, Option<BatchStats>) {
         let mut g = Graph::new();
         let x = g.input(x0.clone());
-        let w1 = g.param(ps, ids.w1);
-        let y = g.conv2d(x, w1, None, 1, 1);
-        let ga = g.param(ps, ids.gamma);
-        let be = g.param(ps, ids.beta);
-        let (y, stats) = if train_bn {
-            let (y, s) = g.batch_norm2d_train(y, ga, be, EPS);
-            (y, Some(s))
-        } else {
-            let rm = ps.get(ids.rmean).value().clone();
-            let rv = ps.get(ids.rvar).value().clone();
-            (g.batch_norm2d_eval(y, ga, be, &rm, &rv, EPS), None)
-        };
-        let y0 = g.leaky_relu(y, ALPHA);
-        let w2 = g.param(ps, ids.w2);
-        let b2 = g.param(ps, ids.b2);
-        let a = g.conv2d(y0, w2, Some(b2), 1, 0);
-        let p = g.max_pool2d(y0, 2, 2, 0);
-        let u = g.upsample_nearest2x(p);
-        let w3 = g.param(ps, ids.w3);
-        let b = g.conv2d(u, w3, None, 1, 0);
-        let cat = g.concat_channels(a, b);
-        let root = g.leaky_relu(cat, ALPHA);
+        let (root, stats) = net_body(&mut g, ps, ids, x, train_bn);
         let sh = g.add_scalar(root, 0.5);
         let sq = g.mul(sh, sh);
         let loss = g.sum_all(sq);
@@ -1082,8 +1037,7 @@ mod tests {
     fn compiled_train_step_matches_tape_bitwise() {
         let mut ps = ParamSet::new();
         let ids = net(&mut ps);
-        let mut g = Graph::new();
-        let root = declare_net(&mut g, &ids, true);
+        let (g, root) = trace_net(&ps, &ids, true);
         let plan = TrainPlan::compile(&g, &[root]).expect("net compiles");
         // conv_bn_leaky, conv_bias, pool, upsample, conv, concat, leaky
         assert_eq!(plan.num_ops(), 7);
@@ -1116,8 +1070,7 @@ mod tests {
     fn compiled_eval_bn_step_matches_tape_bitwise() {
         let mut ps = ParamSet::new();
         let ids = net(&mut ps);
-        let mut g = Graph::new();
-        let root = declare_net(&mut g, &ids, false);
+        let (g, root) = trace_net(&ps, &ids, false);
         let plan = TrainPlan::compile(&g, &[root]).expect("net compiles");
 
         let mut rng = StdRng::seed_from_u64(12);
@@ -1140,8 +1093,7 @@ mod tests {
     fn column_cache_budget_does_not_change_gradients() {
         let mut ps = ParamSet::new();
         let ids = net(&mut ps);
-        let mut g = Graph::new();
-        let root = declare_net(&mut g, &ids, true);
+        let (g, root) = trace_net(&ps, &ids, true);
         let mut plan = TrainPlan::compile(&g, &[root]).expect("net compiles");
 
         let mut rng = StdRng::seed_from_u64(13);
@@ -1169,8 +1121,7 @@ mod tests {
     fn frozen_path_input_grad_matches_full_backward() {
         let mut ps = ParamSet::new();
         let ids = net(&mut ps);
-        let mut g = Graph::new();
-        let root = declare_net(&mut g, &ids, false);
+        let (g, root) = trace_net(&ps, &ids, false);
         let plan = TrainPlan::compile(&g, &[root]).expect("net compiles");
 
         let mut rng = StdRng::seed_from_u64(14);
@@ -1189,7 +1140,7 @@ mod tests {
 
     #[test]
     fn compile_rejects_unsupported_and_batched() {
-        let mut g = Graph::new();
+        let mut g = Graph::shape_only();
         let x = g.declare("input", &[], &[], &[1, 4]);
         let _ = g.declare("softmax", &[x], &[], &[1, 4]);
         let err = TrainPlan::compile(&g, &[VarId::from_index(1)]).unwrap_err();
@@ -1200,14 +1151,15 @@ mod tests {
         let w = ps.register("w", Tensor::zeros(&[2, 4]));
         let b = ps.register("b", Tensor::zeros(&[2]));
         for op in ["relu", "sigmoid", "linear"] {
-            let mut g = Graph::new();
-            let x = g.declare("input", &[], &[], &[1, 4]);
-            let root = if op == "linear" {
-                let wv = g.declare("param", &[], &[("pid", w.index())], &[2, 4]);
-                let bv = g.declare("param", &[], &[("pid", b.index())], &[2]);
-                g.declare("linear", &[x, wv, bv], &[], &[1, 2])
-            } else {
-                g.declare(op, &[x], &[], &[1, 4])
+            let mut g = Graph::shape_only();
+            let x = g.input(Tensor::zeros(&[1, 4]));
+            let root = match op {
+                "relu" => g.relu(x),
+                "sigmoid" => g.sigmoid(x),
+                _ => {
+                    let (wv, bv) = (g.param(&ps, w), g.param(&ps, b));
+                    g.linear(x, wv, bv)
+                }
             };
             assert!(crate::InferPlan::compile(&g, &[root]).is_ok(), "{op}");
             let err = TrainPlan::compile(&g, &[root]).unwrap_err();
@@ -1217,8 +1169,8 @@ mod tests {
             );
         }
 
-        let mut g = Graph::new();
-        let _ = g.declare("input", &[], &[], &[2, 3, 8, 8]);
+        let mut g = Graph::shape_only();
+        let _ = g.input(Tensor::zeros(&[2, 3, 8, 8]));
         let err = TrainPlan::compile(&g, &[VarId::from_index(0)]).unwrap_err();
         assert!(err.contains("batch 1"), "got: {err}");
     }
