@@ -78,6 +78,12 @@ echo "==> compiled training step equivalence (TrainPlan vs tape, 1 and 4 threads
 # parameters including BN running stats) at 1 and 4 threads.
 cargo test --release -q -p rd-detector --test train_compiled
 
+echo "==> frozen-detector loss equivalence (both attacks, compiled vs tape, release)"
+# Both attacks score frames through one frozen-detector loss: the decal
+# attack per frame, the [34] baseline as one batched call per step. Its
+# compiled gradient-plan route must retrace the tape bitwise for each.
+cargo test --release -q -p road-decals --lib matches_tape_bitwise
+
 echo "==> grad audit (every op's backward vs central differences)"
 cargo run --release -q -p rd-analysis --bin grad_audit
 

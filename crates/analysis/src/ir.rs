@@ -444,25 +444,19 @@ pub fn audit_plan(meta: &PlanMeta, ps: &ParamSet) -> Vec<PlanIssue> {
     issues
 }
 
-/// Whether plan compile sites should run [`audit_plan`]: always in
-/// debug builds, and in release when `RD_PLAN_AUDIT` is set in the
-/// environment.
-pub fn plan_audit_enabled() -> bool {
-    cfg!(debug_assertions) || std::env::var_os("RD_PLAN_AUDIT").is_some()
-}
-
-/// Compile-time audit hook for plan caches: when
-/// [`plan_audit_enabled`], runs [`audit_plan`] and panics with every
-/// finding if the freshly compiled plan is not clean. A plan that fails
-/// its own structural audit is a compiler bug, not a runtime condition,
-/// so panicking at the compile site is the right failure mode.
+/// Compile-time audit hook for plan caches: in debug builds, runs
+/// [`audit_plan`] and panics with every finding if the freshly compiled
+/// plan is not clean. A plan that fails its own structural audit is a
+/// compiler bug, not a runtime condition, so panicking at the compile
+/// site is the right failure mode. Release builds skip it; the
+/// `plan_audit` binary audits every plan there.
 ///
 /// # Panics
 ///
-/// Panics listing all findings when the audit is enabled and reports
+/// Panics listing all findings in a debug build when the audit reports
 /// at least one issue.
 pub fn audit_plan_or_panic(tag: &str, meta: &PlanMeta, ps: &ParamSet) {
-    if !plan_audit_enabled() {
+    if !cfg!(debug_assertions) {
         return;
     }
     let issues = audit_plan(meta, ps);

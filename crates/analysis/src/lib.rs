@@ -34,8 +34,7 @@
 //!   plus fusion-legality, parameter-coverage/orphan and column-budget
 //!   lints; [`audit_plan`] runs everything, and
 //!   [`audit_plan_or_panic`] is the compile-site hook the model crates
-//!   call on every freshly cached plan (debug builds, or release with
-//!   `RD_PLAN_AUDIT=1`).
+//!   call on every freshly cached plan (debug builds).
 //! * [`liveness`] — buffers proven written-before-read, roots defined,
 //!   dead buffers flagged; plus live-range/peak-footprint statistics.
 //! * [`alias`] — single-producer/no-in-place/input-read-only proofs
@@ -87,9 +86,9 @@ pub use bounds::{certify_logit_bounds, KernelModel, LogitBound};
 pub use grad_audit::{render_table, run_grad_audit, OpReport};
 pub use ir::{
     audit_plan, audit_plan_or_panic, check_col_budget, check_fusion, check_params, orphan_params,
-    plan_audit_enabled, PlanIr, PlanIssue, PlanLintKind,
+    PlanIr, PlanIssue, PlanLintKind,
 };
 pub use lints::{lint, lint_with_params, LintIssue, LintKind};
-pub use nan::{audit_non_finite, NanReport, ValueRange};
+pub use nan::{audit_non_finite, non_finite_detail, NanReport, ValueRange};
 pub use plan_mutate::Corruption;
 pub use shape::{validate, validate_with_root, ShapeIssue};

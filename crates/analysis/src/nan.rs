@@ -7,7 +7,7 @@
 //! the nearest fully-finite ancestor — the last place the numbers were
 //! still healthy.
 
-use rd_tensor::{Graph, Tensor, VarId};
+use rd_tensor::{Graph, ParamSet, Tensor, VarId};
 
 /// Summary of one tensor's values for a provenance report.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,4 +152,33 @@ pub fn audit_non_finite(g: &Graph) -> Option<NanReport> {
         parents,
         last_finite_ancestor,
     })
+}
+
+/// The report a training step gives when its loss or any accumulated
+/// gradient in `ps` is non-finite: the loss, the offending parameters
+/// and, when the tape holds a non-finite value, its
+/// [`audit_non_finite`] provenance. `None` when everything is healthy.
+pub fn non_finite_detail(loss: f32, ps: &ParamSet, g: &Graph) -> Option<String> {
+    let bad_params: Vec<String> = ps
+        .iter()
+        .filter(|(_, p)| p.grad().data().iter().any(|v| !v.is_finite()))
+        .map(|(_, p)| format!("{}{:?}", p.name(), p.value().shape()))
+        .collect();
+    if loss.is_finite() && bad_params.is_empty() {
+        return None;
+    }
+    let mut detail = if loss.is_finite() {
+        format!("non-finite gradient(s) in [{}]", bad_params.join(", "))
+    } else if bad_params.is_empty() {
+        format!("non-finite loss {loss}")
+    } else {
+        format!(
+            "non-finite loss {loss}; non-finite gradient(s) in [{}]",
+            bad_params.join(", ")
+        )
+    };
+    if let Some(report) = audit_non_finite(g) {
+        detail.push_str(&format!("\ntape audit: {report}"));
+    }
+    Some(detail)
 }

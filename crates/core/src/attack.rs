@@ -143,11 +143,6 @@ fn sample_clip_poses<R: Rng>(rng: &mut R, frames: usize, fps: f32) -> Vec<Camera
         .collect()
 }
 
-/// Samples one independent pose (the static baseline's batch element).
-pub fn sample_single_pose<R: Rng>(rng: &mut R, fps: f32) -> CameraPose {
-    sample_clip_poses(rng, 1, fps)[0]
-}
-
 /// Samples one pose with the victim guaranteed in view.
 pub(crate) fn sample_visible_pose<R: Rng>(
     scenario: &AttackScenario,
@@ -205,6 +200,100 @@ pub fn victim_cells(vb: &rd_scene::GtBox, grid: usize) -> Vec<(usize, usize, usi
     out
 }
 
+/// The attacked cells of a batch on both detector heads, each tagged
+/// with its sample's batch index.
+#[derive(Default)]
+pub(crate) struct VictimCells {
+    coarse: Vec<AttackCell>,
+    fine: Vec<AttackCell>,
+}
+
+impl VictimCells {
+    /// Adds sample `n`'s [`victim_cells`] on the coarse (stride 32) and
+    /// fine (stride 16) heads of a detector with `input`-pixel frames.
+    pub(crate) fn push(&mut self, n: usize, vb: &rd_scene::GtBox, input: usize) {
+        for (cells, grid) in [(&mut self.coarse, input / 32), (&mut self.fine, input / 16)] {
+            cells.extend(
+                victim_cells(vb, grid)
+                    .into_iter()
+                    .map(|(anchor, cy, cx)| AttackCell { n, anchor, cy, cx }),
+            );
+        }
+    }
+}
+
+/// The targeted attack loss (Eq. 2) of the frozen `detector` on the
+/// `images` batch: [`targeted_class_loss`] on each head's `cells`,
+/// weighted by that head's share of all cells. Both attacks score their
+/// frames here, so their loss and its gradient cannot drift apart.
+/// `None` when no cell is attacked.
+///
+/// By default the detector runs through the cached
+/// [`TinyYolo::grad_plan`] with parameter gradients skipped, and the
+/// image gradient is bridged back onto `g` through one custom node. With
+/// `tape` set it runs [`TinyYolo::forward_frozen`] on `g` instead, so
+/// lints and NaN provenance see the full graph. Both routes are bitwise
+/// identical (asserted by `compiled_attack_matches_tape_bitwise` and
+/// `compiled_baseline_matches_tape_bitwise`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn frozen_detector_loss(
+    g: &mut Graph,
+    detector: &TinyYolo,
+    ps_det: &ParamSet,
+    images: VarId,
+    cells: &VictimCells,
+    target: ObjectClass,
+    obj_weight: f32,
+    tape: bool,
+) -> Option<VarId> {
+    let num_cells = cells.coarse.len() + cells.fine.len();
+    if num_cells == 0 {
+        return None;
+    }
+    let num_classes = detector.config().num_classes;
+    let heads_loss = |g: &mut Graph, coarse: VarId, fine: VarId| {
+        let mut loss: Option<VarId> = None;
+        for (preds, head) in [(coarse, &cells.coarse), (fine, &cells.fine)] {
+            if head.is_empty() {
+                continue;
+            }
+            let l = targeted_class_loss(g, preds, head, num_classes, target.index(), obj_weight);
+            let l = g.scale(l, head.len() as f32 / num_cells as f32);
+            loss = Some(match loss {
+                Some(prev) => g.add(prev, l),
+                None => l,
+            });
+        }
+        loss.expect("cells checked non-empty")
+    };
+    if tape {
+        let outs = detector.forward_frozen(g, ps_det, images);
+        return Some(heads_loss(g, outs.coarse, outs.fine));
+    }
+    let mut step = detector
+        .grad_plan(ps_det)
+        .forward(ps_det, g.value(images), false);
+    let mut mg = Graph::new();
+    let coarse = mg.input(step.output(0));
+    let fine = mg.input(step.output(1));
+    let loss = heads_loss(&mut mg, coarse, fine);
+    let loss_val = mg.value(loss).data()[0];
+    let mgrads = mg.backward(loss);
+    step.backward(ps_det, &[mgrads.get(coarse), mgrads.get(fine)], true);
+    let gx = step.input_grad();
+    drop(step);
+    let ni = images.index();
+    Some(g.custom_named(
+        "frozen_detector_loss",
+        &[images],
+        &[("cells", num_cells)],
+        Tensor::scalar(loss_val),
+        Some(Box::new(move |gout, _vals, grads| {
+            grads[ni].add_scaled_assign(&gx, gout.data()[0]);
+        })),
+    ))
+}
+
 /// One frame's pre-sampled randomness and targeting data.
 ///
 /// Every random draw a frame needs is made on the **main** thread in
@@ -215,8 +304,7 @@ struct FrameJob {
     pose: CameraPose,
     eot: Vec<TransformSample>,
     capture_seed: u64,
-    cc: Vec<AttackCell>,
-    fc: Vec<AttackCell>,
+    cells: VictimCells,
 }
 
 /// A worker's result for one frame: the attack-loss value, its gradient
@@ -237,52 +325,6 @@ struct FrameCtx<'a> {
     silhouette: &'a Plane,
     blur_maps: &'a [Arc<LinearMap>],
     canvas: usize,
-    num_classes: usize,
-}
-
-/// Builds the frame's targeted attack loss (Eq. 2, cell-count weighted
-/// across the two heads) on `g` from the head-output nodes. Shared by
-/// the tape route (heads live on the frame tape) and the compiled route
-/// (heads are plan outputs re-entered as inputs of a small loss tape),
-/// so the loss subgraph — and its gradients — cannot drift between
-/// them. `None` when no cell is attacked.
-fn frame_loss(
-    g: &mut Graph,
-    ctx: &FrameCtx<'_>,
-    job: &FrameJob,
-    coarse: VarId,
-    fine: VarId,
-) -> Option<VarId> {
-    let total = (job.cc.len() + job.fc.len()).max(1) as f32;
-    let mut lf: Option<VarId> = None;
-    if !job.cc.is_empty() {
-        let l = targeted_class_loss(
-            g,
-            coarse,
-            &job.cc,
-            ctx.num_classes,
-            ctx.cfg.target_class.index(),
-            ctx.cfg.obj_weight,
-        );
-        let l = g.scale(l, job.cc.len() as f32 / total);
-        lf = Some(l);
-    }
-    if !job.fc.is_empty() {
-        let l = targeted_class_loss(
-            g,
-            fine,
-            &job.fc,
-            ctx.num_classes,
-            ctx.cfg.target_class.index(),
-            ctx.cfg.obj_weight,
-        );
-        let l = g.scale(l, job.fc.len() as f32 / total);
-        lf = Some(match lf {
-            Some(prev) => g.add(prev, l),
-            None => l,
-        });
-    }
-    lf
 }
 
 /// Renders, composites, and scores one frame on its own batch-1 tape,
@@ -325,42 +367,17 @@ fn eval_frame(
     node = g.add_const(node, &noise);
     node = g.clamp(node, 0.0, 1.0);
 
-    // Frozen-detector forward + targeted loss + backward-to-the-image.
-    // The compiled route runs the detector through the cached eval-mode
-    // TrainPlan with parameter-gradient work skipped and bridges the
-    // image gradient back onto this tape through one custom node; audit
-    // runs force the tape so lint/provenance see the full graph. Both
-    // routes are bitwise-identical (asserted in
-    // `compiled_attack_matches_tape_bitwise`).
-    let lf = if !ctx.cfg.audit {
-        if job.cc.is_empty() && job.fc.is_empty() {
-            return None;
-        }
-        let plan = ctx.detector.grad_plan(ctx.ps_det);
-        let mut step = plan.forward(ctx.ps_det, g.value(node), false);
-        let mut mg = Graph::new();
-        let coarse = mg.input(step.output(0));
-        let fine = mg.input(step.output(1));
-        let lf_m = frame_loss(&mut mg, ctx, job, coarse, fine).expect("cells checked non-empty");
-        let loss_val = mg.value(lf_m).data()[0];
-        let mgrads = mg.backward(lf_m);
-        step.backward(ctx.ps_det, &[mgrads.get(coarse), mgrads.get(fine)], true);
-        let gx_img = step.input_grad();
-        drop(step);
-        let ni = node.index();
-        g.custom_named(
-            "frozen_detector_loss",
-            &[node],
-            &[("cells", job.cc.len() + job.fc.len())],
-            Tensor::scalar(loss_val),
-            Some(Box::new(move |gout, _vals, grads| {
-                grads[ni].add_scaled_assign(&gx_img, gout.data()[0]);
-            })),
-        )
-    } else {
-        let outs = ctx.detector.forward_frozen(&mut g, ctx.ps_det, node);
-        frame_loss(&mut g, ctx, job, outs.coarse, outs.fine)?
-    };
+    // audit runs take the frozen detector through the frame tape
+    let lf = frozen_detector_loss(
+        &mut g,
+        ctx.detector,
+        ctx.ps_det,
+        node,
+        &job.cells,
+        ctx.cfg.target_class,
+        ctx.cfg.obj_weight,
+        ctx.cfg.audit,
+    )?;
     let mut audit = Vec::new();
     if lint_tape {
         for issue in rd_analysis::lint(&g) {
@@ -417,9 +434,6 @@ pub struct AttackTrainer<'a> {
     grad_acc: Option<Arc<Tensor>>,
     step: usize,
     canvas: usize,
-    num_classes: usize,
-    coarse_grid: usize,
-    fine_grid: usize,
     fps: f32,
     anneal_at: usize,
 }
@@ -477,8 +491,6 @@ impl<'a> AttackTrainer<'a> {
                 ))
             })
             .collect();
-        let num_classes = detector.config().num_classes;
-        let input = detector.config().input;
         AttackTrainer {
             scenario,
             detector,
@@ -508,9 +520,6 @@ impl<'a> AttackTrainer<'a> {
             grad_acc: None,
             step: 0,
             canvas,
-            num_classes,
-            coarse_grid: input / 32,
-            fine_grid: input / 16,
             fps,
             // After this step, training locks onto the deployment latent
             // z* so the *single* decal that will be printed gets direct
@@ -603,8 +612,10 @@ impl<'a> AttackTrainer<'a> {
             g.write_grads(&grads, &mut self.ps_d);
             if apply {
                 let dval = g.value(dl).data()[0];
-                if let Some(detail) = non_finite_detail(dval, &self.ps_d, &g, "discriminator") {
-                    return StepOutcome::NonFinite { detail };
+                if let Some(detail) = rd_analysis::non_finite_detail(dval, &self.ps_d, &g) {
+                    return StepOutcome::NonFinite {
+                        detail: format!("discriminator: {detail}"),
+                    };
                 }
                 self.opt_d.step(&mut self.ps_d);
             }
@@ -643,32 +654,15 @@ impl<'a> AttackTrainer<'a> {
                 let capture_seed = self.rng.next_u64();
                 // attacked cells: everywhere the detector could file the
                 // victim (both heads, all anchors in the box)
-                let mut cc = Vec::new();
-                let mut fc = Vec::new();
+                let mut cells = VictimCells::default();
                 if let Some(vb) = self.scenario.victim_box(&pose) {
-                    for (anchor, cy, cx) in victim_cells(&vb, self.coarse_grid) {
-                        cc.push(AttackCell {
-                            n: 0,
-                            anchor,
-                            cy,
-                            cx,
-                        });
-                    }
-                    for (anchor, cy, cx) in victim_cells(&vb, self.fine_grid) {
-                        fc.push(AttackCell {
-                            n: 0,
-                            anchor,
-                            cy,
-                            cx,
-                        });
-                    }
+                    cells.push(0, &vb, self.detector.config().input);
                 }
                 jobs.push(FrameJob {
                     pose,
                     eot,
                     capture_seed,
-                    cc,
-                    fc,
+                    cells,
                 });
             }
         }
@@ -680,7 +674,6 @@ impl<'a> AttackTrainer<'a> {
             silhouette: &self.silhouette,
             blur_maps: &self.blur_maps,
             canvas: self.canvas,
-            num_classes: self.num_classes,
         };
         let patch_value = g.value(patch);
         let lint_first = cfg.audit && step == 0;
@@ -764,13 +757,15 @@ impl<'a> AttackTrainer<'a> {
         }
         let loss_val = g.value(loss).data()[0];
         if apply {
-            if let Some(detail) = non_finite_detail(loss_val, &self.ps_g, &g, "generator") {
+            if let Some(detail) = rd_analysis::non_finite_detail(loss_val, &self.ps_g, &g) {
                 if step >= self.anneal_at {
                     // reclaim z* (moved onto the tape above) so a rollback
                     // retry finds the trainer structurally intact
                     self.z_star = g.into_value(z);
                 }
-                return StepOutcome::NonFinite { detail };
+                return StepOutcome::NonFinite {
+                    detail: format!("generator: {detail}"),
+                };
             }
             self.opt_g.step(&mut self.ps_g);
         }
@@ -924,36 +919,6 @@ impl<'a> AttackTrainer<'a> {
     }
 }
 
-/// Builds a provenance string when the loss or any accumulated gradient
-/// is non-finite; `None` when everything is healthy.
-fn non_finite_detail(loss: f32, ps: &ParamSet, g: &Graph, which: &str) -> Option<String> {
-    let bad_params: Vec<String> = ps
-        .iter()
-        .filter(|(_, p)| p.grad().data().iter().any(|v| !v.is_finite()))
-        .map(|(_, p)| format!("{}{:?}", p.name(), p.value().shape()))
-        .collect();
-    if loss.is_finite() && bad_params.is_empty() {
-        return None;
-    }
-    let mut detail = if loss.is_finite() {
-        format!(
-            "{which}: non-finite gradient(s) in [{}]",
-            bad_params.join(", ")
-        )
-    } else if bad_params.is_empty() {
-        format!("{which}: non-finite loss {loss}")
-    } else {
-        format!(
-            "{which}: non-finite loss {loss}; non-finite gradient(s) in [{}]",
-            bad_params.join(", ")
-        )
-    };
-    if let Some(report) = rd_analysis::audit_non_finite(g) {
-        detail.push_str(&format!("\ntape audit: {report}"));
-    }
-    Some(detail)
-}
-
 /// Trains a decal against a frozen detector. `ps_det` is only used for
 /// forward passes (weights are never updated).
 ///
@@ -1009,13 +974,7 @@ fn digital_flip_rate(
     dets.iter()
         .zip(&victims)
         .filter(|(dlist, vb)| {
-            let Some(vb) = vb else { return false };
-            dlist
-                .iter()
-                .filter(|d| d.iou(vb) > 0.1)
-                .max_by(|a, b| a.confidence().total_cmp(&b.confidence()))
-                .map(|d| d.class == target)
-                .unwrap_or(false)
+            vb.is_some_and(|vb| crate::eval::classify_victim(dlist, &vb, 0.1) == Some(target))
         })
         .count()
 }

@@ -1,8 +1,10 @@
 //! The comparison baseline: Sava et al. [34] — a *colored* adversarial
 //! patch optimized directly in pixel space with EOT, on independent
 //! (static) frames. The paper reimplemented it for lack of official code;
-//! so do we, sharing the compositing/EOT substrate so the comparison is
-//! apples-to-apples.
+//! so do we, sharing the compositing/EOT substrate and the attack's
+//! frozen-detector loss ([`crate::attack`]'s `frozen_detector_loss`,
+//! one compiled gradient-plan call per step over the whole frame batch)
+//! so the comparison is apples-to-apples.
 //!
 //! Differences from the road-decal attack, mirroring the papers:
 //! * full-color patch (three channels) — suffers print gamut error;
@@ -15,7 +17,6 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rd_detector::loss::{targeted_class_loss, AttackCell};
 use rd_detector::TinyYolo;
 use rd_eot::{adjust_placement, EotConfig, TrickSet};
 use rd_scene::ObjectClass;
@@ -24,7 +25,7 @@ use rd_vision::compose::paste_patch_rgb;
 use rd_vision::shapes::Shape;
 use rd_vision::Plane;
 
-use crate::attack::AttackConfig;
+use crate::attack::{frozen_detector_loss, sample_visible_pose, AttackConfig, VictimCells};
 use crate::decal::Decal;
 use crate::scenario::AttackScenario;
 
@@ -97,8 +98,21 @@ pub struct BaselinePatch {
 pub fn train_baseline_patch(
     scenario: &AttackScenario,
     detector: &TinyYolo,
-    ps_det: &mut ParamSet,
+    ps_det: &ParamSet,
     cfg: &BaselineConfig,
+) -> BaselinePatch {
+    train_patch(scenario, detector, ps_det, cfg, false)
+}
+
+/// [`train_baseline_patch`], scoring each step's frame batch through
+/// [`frozen_detector_loss`] on its compiled route, or on the step's tape
+/// when `tape` is set.
+fn train_patch(
+    scenario: &AttackScenario,
+    detector: &TinyYolo,
+    ps_det: &ParamSet,
+    cfg: &BaselineConfig,
+    tape: bool,
 ) -> BaselinePatch {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let canvas = scenario.patch_canvas;
@@ -110,9 +124,7 @@ pub fn train_baseline_patch(
     );
     let mut opt = Adam::new(cfg.lr);
     let full_mask = Plane::new(canvas, canvas, 1.0);
-    let num_classes = detector.config().num_classes;
     let input = detector.config().input;
-    let (coarse_grid, fine_grid) = (input / 32, input / 16);
     let fps = 18.0;
 
     let mut attack_hist = Vec::with_capacity(cfg.steps);
@@ -122,12 +134,10 @@ pub fn train_baseline_patch(
         let logits = g.param(&ps, w);
         let patch = g.sigmoid(logits);
         let mut frames: Vec<VarId> = Vec::with_capacity(cfg.batch_frames);
-        let mut coarse_cells: Vec<AttackCell> = Vec::new();
-        let mut fine_cells: Vec<AttackCell> = Vec::new();
-        for _ in 0..cfg.batch_frames {
+        let mut cells = VictimCells::default();
+        for n in 0..cfg.batch_frames {
             // independent (static) frames — the baseline's key limitation
-            let pose = crate::attack::sample_visible_pose(scenario, &mut rng, fps);
-            let n_index = frames.len();
+            let pose = sample_visible_pose(scenario, &mut rng, fps);
             let base = scenario.rig.render_frame(scenario.world.canvas(), &pose);
             let mut node = g.input(base.to_tensor());
             for (i, placement) in scenario.decal_placements.iter().enumerate() {
@@ -149,56 +159,20 @@ pub fn train_baseline_patch(
             // and only then print; that gap is exactly what Table I probes.
             frames.push(node);
             if let Some(vb) = scenario.victim_box(&pose) {
-                for (anchor, cy, cx) in crate::attack::victim_cells(&vb, coarse_grid) {
-                    coarse_cells.push(AttackCell {
-                        n: n_index,
-                        anchor,
-                        cy,
-                        cx,
-                    });
-                }
-                for (anchor, cy, cx) in crate::attack::victim_cells(&vb, fine_grid) {
-                    fine_cells.push(AttackCell {
-                        n: n_index,
-                        anchor,
-                        cy,
-                        cx,
-                    });
-                }
+                cells.push(n, &vb, input);
             }
         }
         let batch = g.concat_batch(&frames);
-        let outs = detector.forward(&mut g, ps_det, batch, false);
-        let total = (coarse_cells.len() + fine_cells.len()).max(1) as f32;
-        let mut loss: Option<VarId> = None;
-        if !coarse_cells.is_empty() {
-            let l = targeted_class_loss(
-                &mut g,
-                outs.coarse,
-                &coarse_cells,
-                num_classes,
-                cfg.target_class.index(),
-                cfg.obj_weight,
-            );
-            let l = g.scale(l, coarse_cells.len() as f32 / total);
-            loss = Some(l);
-        }
-        if !fine_cells.is_empty() {
-            let l = targeted_class_loss(
-                &mut g,
-                outs.fine,
-                &fine_cells,
-                num_classes,
-                cfg.target_class.index(),
-                cfg.obj_weight,
-            );
-            let l = g.scale(l, fine_cells.len() as f32 / total);
-            loss = Some(match loss {
-                Some(prev) => g.add(prev, l),
-                None => l,
-            });
-        }
-        let Some(loss) = loss else {
+        let Some(loss) = frozen_detector_loss(
+            &mut g,
+            detector,
+            ps_det,
+            batch,
+            &cells,
+            cfg.target_class,
+            cfg.obj_weight,
+            tape,
+        ) else {
             attack_hist.push(f32::NAN);
             continue;
         };
@@ -224,6 +198,7 @@ pub fn train_baseline_patch(
 mod tests {
     use super::*;
     use rd_scene::CameraRig;
+    use rd_tensor::{Runtime, RuntimeConfig};
 
     #[test]
     fn baseline_produces_colored_patch() {
@@ -231,10 +206,39 @@ mod tests {
         let mut ps_det = ParamSet::new();
         let detector = TinyYolo::new(&mut ps_det, &mut rng, rd_detector::YoloConfig::smoke());
         let scenario = AttackScenario::parking_lot(CameraRig::smoke(), 2, 60, 16, 5);
-        let out = train_baseline_patch(&scenario, &detector, &mut ps_det, &BaselineConfig::smoke());
+        let out = train_baseline_patch(&scenario, &detector, &ps_det, &BaselineConfig::smoke());
         assert_eq!(out.decal.num_channels(), 3);
         assert_eq!(out.attack_loss.len(), 4);
         assert!(out.attack_loss.iter().all(|l| l.is_finite()));
+    }
+
+    #[test]
+    fn compiled_baseline_matches_tape_bitwise() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut ps_det = ParamSet::new();
+        let detector = TinyYolo::new(&mut ps_det, &mut rng, rd_detector::YoloConfig::smoke());
+        let scenario = AttackScenario::parking_lot(CameraRig::smoke(), 2, 60, 16, 5);
+        let cfg = BaselineConfig::smoke();
+        let tape = train_patch(&scenario, &detector, &ps_det, &cfg, true);
+        // NaN-safe bitwise comparison (a no-victim batch records NaN)
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2] {
+            let rt = Runtime::new(RuntimeConfig {
+                threads,
+                ..RuntimeConfig::default()
+            });
+            let compiled = rt.enter(|| train_baseline_patch(&scenario, &detector, &ps_det, &cfg));
+            assert_eq!(
+                bits(&compiled.attack_loss),
+                bits(&tape.attack_loss),
+                "attack-loss history diverged at {threads} thread(s)"
+            );
+            assert_eq!(
+                compiled.decal.channel_data(),
+                tape.decal.channel_data(),
+                "trained patch diverged at {threads} thread(s)"
+            );
+        }
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub fn run_table1(env: &mut Environment, seed: u64) -> Result<Table, ExperimentE
     let bl = train_baseline_patch(
         &scenario,
         &env.detector,
-        &mut env.params,
+        &env.params,
         &BaselineConfig::matched(&cfg),
     );
     let decals = deploy(&bl.decal, &scenario);

@@ -30,6 +30,5 @@ pub use decode::{
 pub use model::{TinyYolo, YoloConfig, YoloOutputs};
 pub use track::{Track, TrackState, Tracker, TrackerConfig};
 pub use train::{
-    detect, evaluate, forward_raw, train, DetectorTrainer, EvalMetrics, GradHook, TrainConfig,
-    TrainReport,
+    detect, evaluate, train, DetectorTrainer, EvalMetrics, GradHook, TrainConfig, TrainReport,
 };

@@ -237,7 +237,7 @@ impl<'a> DetectorTrainer<'a> {
             h(self.steps_done, self.ps);
         }
 
-        if let Some(detail) = non_finite_detail(lval, self.ps, &g) {
+        if let Some(detail) = rd_analysis::non_finite_detail(lval, self.ps, &g) {
             return StepOutcome::NonFinite { detail };
         }
 
@@ -442,33 +442,6 @@ impl<'a> DetectorTrainer<'a> {
     }
 }
 
-/// Builds a provenance string when the loss or any gradient is
-/// non-finite; `None` when everything is healthy.
-fn non_finite_detail(loss: f32, ps: &ParamSet, g: &Graph) -> Option<String> {
-    let bad_params: Vec<String> = ps
-        .iter()
-        .filter(|(_, p)| p.grad().data().iter().any(|v| !v.is_finite()))
-        .map(|(_, p)| format!("{}{:?}", p.name(), p.value().shape()))
-        .collect();
-    if loss.is_finite() && bad_params.is_empty() {
-        return None;
-    }
-    let mut detail = if loss.is_finite() {
-        format!("non-finite gradient(s) in [{}]", bad_params.join(", "))
-    } else if bad_params.is_empty() {
-        format!("non-finite loss {loss}")
-    } else {
-        format!(
-            "non-finite loss {loss}; non-finite gradient(s) in [{}]",
-            bad_params.join(", ")
-        )
-    };
-    if let Some(report) = rd_analysis::audit_non_finite(g) {
-        detail.push_str(&format!("\ntape audit: {report}"));
-    }
-    Some(detail)
-}
-
 /// Trains the detector in place.
 ///
 /// Convenience wrapper over [`DetectorTrainer`]: runs every step, and on
@@ -512,13 +485,6 @@ pub fn detect(
         obj_threshold,
         0.45,
     )
-}
-
-/// Raw head outputs for one batch (used by evaluation helpers that need
-/// logits rather than detections). Grad-free compiled path.
-pub fn forward_raw(model: &TinyYolo, ps: &ParamSet, images: &[Image]) -> (Tensor, Tensor) {
-    let batch = Image::batch_to_tensor(images);
-    model.infer(ps, &batch)
 }
 
 /// Detection quality metrics over a labelled set.

@@ -74,14 +74,14 @@ fn full_attack_pipeline_produces_consistent_artifacts() {
 
 #[test]
 fn baseline_pipeline_runs_and_is_colored() {
-    let mut env = prepare_environment(Scale::Smoke, 42);
+    let env = prepare_environment(Scale::Smoke, 42);
     let scenario = AttackScenario::parking_lot(Scale::Smoke.rig(), 2, 60, 16, 42);
     let cfg = BaselineConfig {
         steps: 4,
         batch_frames: 4,
         ..BaselineConfig::smoke()
     };
-    let patch = train_baseline_patch(&scenario, &env.detector, &mut env.params, &cfg);
+    let patch = train_baseline_patch(&scenario, &env.detector, &env.params, &cfg);
     assert_eq!(patch.decal.num_channels(), 3);
     // a freshly optimized colored patch generally carries chroma
     let decals = deploy(&patch.decal, &scenario);
