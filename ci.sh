@@ -62,6 +62,13 @@ cargo test --release -q -p rd-detector --test tier
 # forced, so the non-AVX2 path stays correct on hosts that have AVX2.
 RD_NO_SIMD=1 cargo test --release -q -p rd-detector --test tier
 
+echo "==> reference kernels are exact on both backends"
+# The reference tier's conv GEMMs run exact AVX2 kernels on AVX2 hosts,
+# so the steps above never reach their scalar bodies there. Force the
+# portable backend and hold the pinned reference-tier digest and the
+# compiled-vs-tape tests on the scalar path too.
+RD_NO_SIMD=1 cargo test --release -q -p rd-detector --test infer --test train_compiled
+
 echo "==> render fast-path equivalence (seed renderer vs fresh path vs cached FrameRenderer, both backends)"
 # The PR 10 contract at test granularity: property-tested bitwise
 # identity (frames and RNG draw counts) between the pose-keyed cached

@@ -66,11 +66,27 @@ pub(crate) fn gemm_fixed<const N: usize>(
     }
 }
 
-/// Dispatches between the register-accumulating kernels and
-/// [`matmul_into`]; `out` need not be zeroed (every path fully
-/// overwrites it). The fixed widths are the square head/backbone grids
-/// the detector configs produce (2..8 per side).
+/// The conv forward GEMM `out = a × b` of the tape and of both tiers'
+/// reference plans: [`crate::simd::exact_gemm`], which runs the AVX2
+/// kernel or [`conv_gemm_scalar`], bitwise identical to each other.
+/// `out` need not be zeroed.
 pub(crate) fn conv_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    crate::simd::exact_gemm(a, b, out, m, k, n);
+}
+
+/// Scalar body of [`conv_gemm`]: dispatches between the
+/// register-accumulating kernels and [`matmul_into`]; `out` need not
+/// be zeroed (every path fully overwrites it). The fixed widths are the
+/// square head/backbone grids the detector configs produce (2..8 per
+/// side).
+pub(crate) fn conv_gemm_scalar(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     match n {
         4 => gemm_fixed::<4>(a, b, out, m, k),
         9 => gemm_fixed::<9>(a, b, out, m, k),
@@ -94,8 +110,15 @@ pub(crate) fn conv_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 /// [`conv_gemm`] dispatches on. Monomorphizing on it lets the compiler
 /// unroll the inner product; every path keeps the identical
 /// k-ascending `mul`+`add` sequence (no zero-skip, matching the
-/// original), so dispatch never changes a rounding.
+/// original), so dispatch never changes a rounding. Runs through
+/// [`crate::simd::exact_gemm_nt`], whose AVX2 kernel is bitwise
+/// identical to the scalar body [`gemm_nt_scalar`].
 pub(crate) fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    crate::simd::exact_gemm_nt(a, b, out, m, k, n);
+}
+
+/// Scalar body of [`gemm_nt`].
+pub(crate) fn gemm_nt_scalar(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(
         a.len(),
         m * k,
@@ -182,7 +205,22 @@ pub(crate) fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize,
 /// only the initial `0.0 + x` fold disappears, which can flip the sign
 /// of a zero but never a value — and conv backward's `col2im`
 /// scatter-add re-folds any `-0.0` away before gradients escape.
+///
+/// Runs through [`crate::simd::exact_gemm_tn_over`], whose AVX2 kernel
+/// is bitwise identical to the scalar body [`gemm_tn_over_scalar`].
 pub(crate) fn gemm_tn_over(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+    crate::simd::exact_gemm_tn_over(a, b, out, k, m, n);
+}
+
+/// Scalar body of [`gemm_tn_over`].
+pub(crate) fn gemm_tn_over_scalar(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+) {
     gemm_tn_asserts(a, b, out, k, m, n);
     if k == 0 {
         out.fill(0.0);

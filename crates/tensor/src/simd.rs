@@ -1,22 +1,35 @@
-//! f32x8 fast-tier microkernels for the compiled engines.
+//! f32x8 microkernels for the compiled engines, the tape and the
+//! capture channel.
 //!
 //! This is the one module in the workspace allowed to contain `unsafe`
-//! (the workspace-wide lint is `unsafe_code = "deny"`): the AVX2+FMA
+//! (the workspace-wide lint is `unsafe_code = "deny"`): the AVX2
 //! kernels below use `std::arch` intrinsics behind a runtime feature
 //! check. Every other crate keeps the deny.
 //!
 //! # Contract
 //!
-//! These kernels implement [`Tier::Fast`](crate::tier::Tier): they may
-//! contract `mul`+`add` into FMA and (for the dot-product kernel)
-//! re-associate the reduction into eight lanes, so their results are
-//! **not** bitwise-identical to the scalar reference in
-//! [`crate::conv`]. They are instead covered by the static
-//! `f32x8-fma` ulp certificate from `rd_analysis::bounds`: per output
-//! element the divergence stays within `2·γ(k)·Σ|aᵢ·bᵢ|` of the
-//! reference, the forward-error model the certifier propagates to the
-//! logits. The equivalence proptests at the bottom of this module
-//! check exactly that bound per kernel.
+//! The kernels come in two families.
+//!
+//! * **Exact, dispatched on the backend alone.** `exact_gemm`,
+//!   `exact_gemm_nt` and `exact_gemm_tn_over` (the reference tier's
+//!   conv GEMMs), `sparse_gather` (behind [`crate::LinearMap`]),
+//!   [`add_scaled_clamp`] and [`box_blur_vertical`] run, per output element, the scalar loop's
+//!   own sequence of separate `mul`s and `add`s (never FMA, no
+//!   re-association). IEEE `mul` and `add` round the same at any vector
+//!   width, so both backends are **bitwise identical** to the scalar
+//!   code and to each other, and they serve either tier.
+//! * **Certified, fast tier only.** [`gemm`], [`gemm_nt_acc`],
+//!   [`gemm_tn_over`], [`affine_act`], [`act_inplace`] and
+//!   [`max_pool2x2`] implement [`Tier::Fast`](crate::tier::Tier): they
+//!   may contract `mul`+`add` into FMA and (for the dot-product kernel)
+//!   re-associate the reduction into eight lanes, so their results are
+//!   **not** bitwise-identical to the scalar reference in
+//!   [`crate::conv`]. They are instead covered by the static
+//!   `f32x8-fma` ulp certificate from `rd_analysis::bounds`: per output
+//!   element the divergence stays within `2·γ(k)·Σ|aᵢ·bᵢ|` of the
+//!   reference, the forward-error model the certifier propagates to the
+//!   logits. The equivalence proptests at the bottom of this module
+//!   check exactly that bound per kernel.
 //!
 //! # Backends
 //!
@@ -24,16 +37,17 @@
 //!
 //! * [`Backend::Avx2Fma`] — `std::arch` 8-lane kernels, selected when
 //!   the host reports AVX2 *and* FMA (checked at runtime, not compile
-//!   time) and `RD_NO_SIMD` is unset.
-//! * [`Backend::Portable`] — safe scalar-unrolled kernels processing
-//!   the same 8/64-wide tiles. The forward GEMM keeps the reference's
-//!   exact k-ascending `mul`+`add` sequence (bitwise-identical on
-//!   finite data); the reductions mimic the 8-lane partial-sum shape
-//!   without FMA, so one certificate covers both backends.
+//!   time) and `RD_NO_SIMD` is unset. The exact kernels enable only
+//!   `avx2`, so the compiler cannot emit an FMA inside them.
+//! * [`Backend::Portable`] — safe scalar code: the exact kernels'
+//!   scalar bodies (for the GEMMs, the ones in `crate::conv`), and
+//!   scalar-unrolled fast-tier kernels whose reductions mimic the
+//!   8-lane partial-sum shape without FMA, so one certificate covers
+//!   both backends.
 //!
 //! # Cache blocking
 //!
-//! The forward GEMM tiles the im2col output grid into 64-column
+//! The fast forward GEMM tiles the im2col output grid into 64-column
 //! panels (eight f32x8 accumulators) and blocks the reduction into
 //! 256-row slabs of the column matrix, so the active B panel stays
 //! cache-resident across the weight rows. Spilling accumulators to the
@@ -106,8 +120,15 @@ pub fn backend() -> Backend {
 /// GEMM `out = a[m,k] × b[k,n]`, overwrite mode (no zeroing needed).
 ///
 /// Fast-tier counterpart of [`crate::conv`]'s `conv_gemm`.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its extent.
 pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
+    assert!(
+        a.len() >= m * k && b.len() >= k * n && out.len() >= m * n,
+        "gemm: slices shorter than m={m} k={k} n={n}"
+    );
     if m == 0 || n == 0 {
         return;
     }
@@ -119,7 +140,7 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
         // SAFETY: `backend()` returned Avx2Fma only after runtime
         // detection of both `avx2` and `fma` on this CPU.
         Backend::Avx2Fma => unsafe { avx2::gemm(a, b, out, m, k, n) },
-        Backend::Portable => portable::gemm(a, b, out, m, k, n),
+        Backend::Portable => crate::conv::conv_gemm_scalar(a, b, out, m, k, n),
     }
 }
 
@@ -129,8 +150,15 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
 /// backward's grad-weight GEMM). The reduction over `k` runs as eight
 /// partial lanes folded in a fixed order, so it re-associates relative
 /// to the reference — covered by the `f32x8-fma` model.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its extent.
 pub fn gemm_nt_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
+    assert!(
+        a.len() >= m * k && b.len() >= n * k && out.len() >= m * n,
+        "gemm_nt_acc: slices shorter than m={m} k={k} n={n}"
+    );
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -147,8 +175,15 @@ pub fn gemm_nt_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 /// backward's grad-input GEMM). Per output element the sum stays
 /// p-ascending; only FMA contraction (and the sign of exact zeros)
 /// differs from the reference.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its extent.
 pub fn gemm_tn_over(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    debug_assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
+    assert!(
+        a.len() >= k * m && b.len() >= k * n && out.len() >= m * n,
+        "gemm_tn_over: slices shorter than k={k} m={m} n={n}"
+    );
     if m == 0 || n == 0 {
         return;
     }
@@ -177,9 +212,10 @@ pub fn affine_act(seg: &mut [f32], scale: f32, shift: f32, act: Act) {
 /// 2×2 stride-2 max-pool over a CHW tensor with even `h`, `w`.
 ///
 /// `max` performs no rounding, so this is **bitwise identical** to the
-/// reference pooling loop on non-NaN data regardless of backend — it
-/// is still only dispatched on the fast tier to keep the reference
-/// tier's instruction sequence byte-for-byte scalar.
+/// reference pooling loop on non-NaN data regardless of backend. It is
+/// still dispatched on the fast tier only, because NaN is the one case
+/// where they differ: `_mm256_max_ps` returns its second operand when
+/// either is NaN, while `f32::max` ignores a NaN operand.
 ///
 /// # Panics
 ///
@@ -223,12 +259,25 @@ pub fn act_inplace(seg: &mut [f32], act: Act) {
 /// (interior pixels) and runs of eight empty rows (outside the warp
 /// footprint).
 ///
+/// Crate-private: the AVX2 path reads `src` at every `srcs[i]` and
+/// between `offsets` without a bounds check, and only debug builds
+/// re-check those here. Its one caller is [`crate::LinearMap`], whose
+/// constructor asserts every source index and whose CSR arrays are
+/// private, so safe code outside the crate cannot reach it with bad
+/// indices.
+///
 /// # Panics
 ///
-/// Asserts the CSR shape contract (`offsets` monotone over
-/// `srcs`/`weights`, one row per output element). Source indices are
-/// validated by `LinearMap::new`; they are debug-asserted here.
-pub fn sparse_gather(offsets: &[u32], srcs: &[u32], weights: &[f32], src: &[f32], out: &mut [f32]) {
+/// Asserts the CSR shape contract (one row per output element, the last
+/// offset closing `srcs`/`weights`); monotone offsets and source
+/// indices are debug-asserted.
+pub(crate) fn sparse_gather(
+    offsets: &[u32],
+    srcs: &[u32],
+    weights: &[f32],
+    src: &[f32],
+    out: &mut [f32],
+) {
     assert_eq!(offsets.len(), out.len() + 1, "CSR needs out_n + 1 offsets");
     assert_eq!(srcs.len(), weights.len());
     assert_eq!(
@@ -287,36 +336,116 @@ pub fn box_blur_vertical(src: &[f32], dst: &mut [f32], h: usize, w: usize, radiu
     }
 }
 
+/// Exact forward GEMM `out = a[m,k] × b[k,n]`, overwrite mode: the
+/// reference tier's conv forward (`conv::conv_gemm`).
+///
+/// Per output element both backends run the scalar body's sequence:
+/// from `+0.0`, ascending `k`, one `mul` then one `add` per term, and
+/// no term whose `a` equals `0.0` (either sign), so a NaN or infinity in
+/// `b` behind a zero weight stays out of the sum. The AVX2 path only
+/// runs several such chains side by side (register blocks of rows ×
+/// 8, 16 or 32 columns, SSE for 4-column tails), so it is **bitwise
+/// identical** to the scalar body and is dispatched on the backend
+/// alone, on either tier.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its extent.
+pub(crate) fn exact_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    assert!(
+        a.len() >= m * k && b.len() >= k * n && out.len() >= m * n,
+        "exact_gemm: slices shorter than m={m} k={k} n={n}"
+    );
+    match backend() {
+        // SAFETY: `backend()` returned Avx2Fma only after runtime
+        // detection of `avx2`; the assert above bounds every read of
+        // `a` and `b` and every write of `out`.
+        Backend::Avx2Fma => unsafe { exact::gemm::<false>(a, k, 1, b, out, m, k, n) },
+        Backend::Portable => crate::conv::conv_gemm_scalar(a, b, out, m, k, n),
+    }
+}
+
+/// Exact grad-weight GEMM `out[m,n] += a[m,k] × b[n,k]ᵀ`: the reference
+/// tier's `conv::gemm_nt`.
+///
+/// Per output element both backends form the dot product from `+0.0`,
+/// ascending `k`, one `mul` then one `add` per term (no term skipped),
+/// and add the finished sum into `out` — **bitwise identical** to the
+/// scalar body. The AVX2 path puts eight output rows in the lanes of
+/// one register, reading them from a transposed copy of `a` in arena
+/// scratch (or on the stack when it is small).
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its extent.
+pub(crate) fn exact_gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    assert!(
+        a.len() >= m * k && b.len() >= n * k && out.len() >= m * n,
+        "exact_gemm_nt: slices shorter than m={m} k={k} n={n}"
+    );
+    match backend() {
+        Backend::Avx2Fma => {
+            // at[t·m8 + i] = a[i·k + t]; the padding rows stay zero.
+            let m8 = m.div_ceil(8) * 8;
+            let mut small = [0.0f32; 1024];
+            let mut pooled;
+            let at: &mut [f32] = if k * m8 <= small.len() {
+                &mut small[..k * m8]
+            } else {
+                pooled = crate::arena::ScratchBuf::zeroed(k * m8);
+                &mut pooled
+            };
+            for (i, row) in a[..m * k].chunks_exact(k.max(1)).enumerate() {
+                for (t, &v) in row.iter().enumerate() {
+                    at[t * m8 + i] = v;
+                }
+            }
+            // SAFETY: AVX2 presence established by `backend()`; `at`
+            // holds `k·m8` elements and the assert above bounds `b` and
+            // `out`.
+            unsafe { exact::gemm_nt(at, m8, b, out, m, k, n) }
+        }
+        Backend::Portable => crate::conv::gemm_nt_scalar(a, b, out, m, k, n),
+    }
+}
+
+/// Exact grad-input GEMM `out[m,n] = a[k,m]ᵀ × b[k,n]`, overwrite mode:
+/// the reference tier's `conv::gemm_tn_over`.
+///
+/// Per output element both backends write the first term as `a·b` (or
+/// `+0.0` when its `a` is zero), then add the later terms in ascending
+/// `k`, one `mul` then one `add` each, skipping every term whose `a`
+/// equals `0.0` — **bitwise identical** to the scalar body, and every
+/// element of `out[..m·n]` is overwritten.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its extent.
+pub(crate) fn exact_gemm_tn_over(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+) {
+    assert!(
+        a.len() >= k * m && b.len() >= k * n && out.len() >= m * n,
+        "exact_gemm_tn_over: slices shorter than k={k} m={m} n={n}"
+    );
+    match backend() {
+        // SAFETY: AVX2 presence established by `backend()`; the assert
+        // above bounds every read of `a` and `b` and write of `out`.
+        Backend::Avx2Fma => unsafe { exact::gemm::<true>(a, 1, m, b, out, m, k, n) },
+        Backend::Portable => crate::conv::gemm_tn_over_scalar(a, b, out, k, m, n),
+    }
+}
+
 /// Safe scalar-unrolled fallback kernels (also the only backend on
 /// non-x86_64 hosts). Public so the dispatch tests can pin this path
 /// regardless of the host CPU.
 pub mod portable {
     use super::{Act, NR};
-
-    /// Portable [`super::gemm`]: 64-column tiles, per element the exact
-    /// k-ascending `mul`+`add` (zero-skipping) sequence of the scalar
-    /// reference — bitwise-identical to it on finite data.
-    pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        let mut jb = 0;
-        while jb < n {
-            let jw = NR.min(n - jb);
-            for i in 0..m {
-                let mut acc = [0.0f32; NR];
-                let acc = &mut acc[..jw];
-                for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[kk * n + jb..kk * n + jb + jw];
-                    for (s, &bv) in acc.iter_mut().zip(brow) {
-                        *s += av * bv;
-                    }
-                }
-                out[i * n + jb..i * n + jb + jw].copy_from_slice(acc);
-            }
-            jb += jw;
-        }
-    }
 
     /// Portable [`super::gemm_nt_acc`]: eight k-strided partial sums
     /// folded pairwise — the 8-lane reduction shape without FMA.
@@ -1260,6 +1389,436 @@ mod avx2 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod exact {
+    //! Bitwise-exact AVX2 kernels for the reference tier's conv GEMMs.
+    //! Every function here enables `avx2` and nothing else, so the
+    //! compiler cannot contract a `mul` and an `add` into an FMA: each
+    //! lane runs one output element's scalar chain, and the register
+    //! blocks only decide how many chains run side by side. Callers must
+    //! have verified AVX2 at runtime (see [`super::backend`]).
+
+    use std::arch::x86_64::*;
+
+    /// Strided left operand: element `(i, p)` sits at `ptr[i·rs + p·ps]`.
+    #[derive(Clone, Copy)]
+    struct Lhs {
+        ptr: *const f32,
+        rs: usize,
+        ps: usize,
+    }
+
+    impl Lhs {
+        /// # Safety
+        ///
+        /// `(i, p)` must lie inside the operand the caller bounded.
+        #[inline(always)]
+        unsafe fn at(self, i: usize, p: usize) -> f32 {
+            *self.ptr.add(i * self.rs + p * self.ps)
+        }
+    }
+
+    /// Output geometry shared by the tiles: `b` is `[k, n]`, `out` is
+    /// `[m, n]`, both row-major.
+    #[derive(Clone, Copy)]
+    struct Dims {
+        b: *const f32,
+        out: *mut f32,
+        k: usize,
+        n: usize,
+    }
+
+    /// Whether any of `xs` equals `0.0` (either sign).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn has_zero(xs: &[f32]) -> bool {
+        let zero = _mm256_setzero_ps();
+        let mut any = [_mm256_setzero_ps(); 4];
+        let mut chunks = xs.chunks_exact(32);
+        for c in &mut chunks {
+            for (t, z) in any.iter_mut().enumerate() {
+                let v = _mm256_loadu_ps(c.as_ptr().add(t * 8));
+                *z = _mm256_or_ps(*z, _mm256_cmp_ps::<_CMP_EQ_OQ>(v, zero));
+            }
+        }
+        let any = _mm256_or_ps(_mm256_or_ps(any[0], any[1]), _mm256_or_ps(any[2], any[3]));
+        _mm256_movemask_ps(any) != 0 || chunks.remainder().contains(&0.0)
+    }
+
+    /// One `R`-row × `8·V`-column block of `out = lhs × b` at `(i0, j0)`.
+    /// `TN` writes the first term as `a·b` (grad-input mode) instead of
+    /// adding it to `+0.0`; `SKIP` tests each `a` against `0.0`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, rows `i0..i0 + R` of `lhs`, and columns
+    /// `j0..j0 + 8·V` of `b` and `out` in bounds.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<const R: usize, const V: usize, const TN: bool, const SKIP: bool>(
+        lhs: Lhs,
+        d: Dims,
+        i0: usize,
+        j0: usize,
+    ) {
+        let bj = d.b.add(j0);
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        if TN {
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = lhs.at(i0 + r, 0);
+                if !SKIP || av != 0.0 {
+                    let va = _mm256_set1_ps(av);
+                    for (v, s) in row.iter_mut().enumerate() {
+                        *s = _mm256_mul_ps(va, _mm256_loadu_ps(bj.add(v * 8)));
+                    }
+                }
+            }
+        }
+        for p in usize::from(TN)..d.k {
+            let bp = bj.add(p * d.n);
+            let mut bv = [_mm256_setzero_ps(); V];
+            for (v, x) in bv.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(bp.add(v * 8));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = lhs.at(i0 + r, p);
+                if SKIP && av == 0.0 {
+                    continue;
+                }
+                let va = _mm256_set1_ps(av);
+                for (s, &x) in row.iter_mut().zip(&bv) {
+                    *s = _mm256_add_ps(*s, _mm256_mul_ps(va, x));
+                }
+            }
+        }
+        let o = d.out.add(i0 * d.n + j0);
+        for (r, row) in acc.iter().enumerate() {
+            for (v, s) in row.iter().enumerate() {
+                _mm256_storeu_ps(o.add(r * d.n + v * 8), *s);
+            }
+        }
+    }
+
+    /// [`tile`] over four columns in SSE registers.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, rows `i0..i0 + R` of `lhs`, and columns
+    /// `j0..j0 + 4` of `b` and `out` in bounds.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile4<const R: usize, const TN: bool, const SKIP: bool>(
+        lhs: Lhs,
+        d: Dims,
+        i0: usize,
+        j0: usize,
+    ) {
+        let bj = d.b.add(j0);
+        let mut acc = [_mm_setzero_ps(); R];
+        if TN {
+            for (r, s) in acc.iter_mut().enumerate() {
+                let av = lhs.at(i0 + r, 0);
+                if !SKIP || av != 0.0 {
+                    *s = _mm_mul_ps(_mm_set1_ps(av), _mm_loadu_ps(bj));
+                }
+            }
+        }
+        for p in usize::from(TN)..d.k {
+            let x = _mm_loadu_ps(bj.add(p * d.n));
+            for (r, s) in acc.iter_mut().enumerate() {
+                let av = lhs.at(i0 + r, p);
+                if SKIP && av == 0.0 {
+                    continue;
+                }
+                *s = _mm_add_ps(*s, _mm_mul_ps(_mm_set1_ps(av), x));
+            }
+        }
+        let o = d.out.add(i0 * d.n + j0);
+        for (r, s) in acc.iter().enumerate() {
+            _mm_storeu_ps(o.add(r * d.n), *s);
+        }
+    }
+
+    /// Column block `j0` of every row: `R`-row [`tile`]s, then 4-, 2-
+    /// and 1-row tiles for the rows left over.
+    ///
+    /// # Safety
+    ///
+    /// As for [`tile`], over rows `0..m`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows<const R: usize, const V: usize, const TN: bool, const SKIP: bool>(
+        lhs: Lhs,
+        d: Dims,
+        m: usize,
+        j0: usize,
+    ) {
+        let mut i = 0;
+        while i + R <= m {
+            tile::<R, V, TN, SKIP>(lhs, d, i, j0);
+            i += R;
+        }
+        // fewer than `R ≤ 8` rows left: 4 + 2 + 1 covers any count
+        if i + 4 <= m {
+            tile::<4, V, TN, SKIP>(lhs, d, i, j0);
+            i += 4;
+        }
+        if i + 2 <= m {
+            tile::<2, V, TN, SKIP>(lhs, d, i, j0);
+            i += 2;
+        }
+        if i < m {
+            tile::<1, V, TN, SKIP>(lhs, d, i, j0);
+        }
+    }
+
+    /// [`rows`] for the 4-column SSE tile.
+    ///
+    /// # Safety
+    ///
+    /// As for [`tile4`], over rows `0..m`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows4<const TN: bool, const SKIP: bool>(lhs: Lhs, d: Dims, m: usize, j0: usize) {
+        let mut i = 0;
+        while i + 8 <= m {
+            tile4::<8, TN, SKIP>(lhs, d, i, j0);
+            i += 8;
+        }
+        if i + 4 <= m {
+            tile4::<4, TN, SKIP>(lhs, d, i, j0);
+            i += 4;
+        }
+        if i + 2 <= m {
+            tile4::<2, TN, SKIP>(lhs, d, i, j0);
+            i += 2;
+        }
+        if i < m {
+            tile4::<1, TN, SKIP>(lhs, d, i, j0);
+        }
+    }
+
+    /// Every column of `out = lhs × b`: 32-, 16- and 8-column AVX tiles,
+    /// a 4-column SSE tile, then scalar columns.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `k ≥ 1`, and `lhs`, `b`, `out` in bounds for
+    /// `m × k × n`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn columns<const TN: bool, const SKIP: bool>(lhs: Lhs, d: Dims, m: usize) {
+        let mut j = 0;
+        while j + 32 <= d.n {
+            rows::<2, 4, TN, SKIP>(lhs, d, m, j);
+            j += 32;
+        }
+        if j + 16 <= d.n {
+            rows::<4, 2, TN, SKIP>(lhs, d, m, j);
+            j += 16;
+        }
+        if j + 8 <= d.n {
+            rows::<8, 1, TN, SKIP>(lhs, d, m, j);
+            j += 8;
+        }
+        if j + 4 <= d.n {
+            rows4::<TN, SKIP>(lhs, d, m, j);
+            j += 4;
+        }
+        // scalar columns, eight independent row chains at a time
+        for jj in j..d.n {
+            for i0 in (0..m).step_by(8) {
+                let mut s = [0.0f32; 8];
+                let s = &mut s[..(m - i0).min(8)];
+                for p in 0..d.k {
+                    let bv = *d.b.add(p * d.n + jj);
+                    for (r, st) in s.iter_mut().enumerate() {
+                        let av = lhs.at(i0 + r, p);
+                        if av == 0.0 {
+                            continue;
+                        }
+                        let t = av * bv;
+                        *st = if TN && p == 0 { t } else { *st + t };
+                    }
+                }
+                for (r, &st) in s.iter().enumerate() {
+                    *d.out.add((i0 + r) * d.n + jj) = st;
+                }
+            }
+        }
+    }
+
+    /// Forward (`TN = false`, `lhs(i, p) = a[i·rs + p·ps]`) or
+    /// grad-input (`TN = true`) GEMM over the whole output. The tiles
+    /// test each `a` against `0.0` only when `a` holds a zero at all,
+    /// which trained weights practically never do.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `a` must hold every `(i, p)` with `i < m`,
+    /// `p < k`, `b` must hold `k·n` and `out` `m·n` elements.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn gemm<const TN: bool>(
+        a: &[f32],
+        rs: usize,
+        ps: usize,
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        if k == 0 {
+            out[..m * n].fill(0.0);
+            return;
+        }
+        let lhs = Lhs {
+            ptr: a.as_ptr(),
+            rs,
+            ps,
+        };
+        let d = Dims {
+            b: b.as_ptr(),
+            out: out.as_mut_ptr(),
+            k,
+            n,
+        };
+        let skip = has_zero(&a[..m * k]);
+        if skip {
+            columns::<TN, true>(lhs, d, m);
+        } else {
+            columns::<TN, false>(lhs, d, m);
+        }
+    }
+
+    /// In-register 8×8 transpose: lane `l` of `v[c]` becomes lane `c`
+    /// of `v[l]`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn transpose8(v: &mut [__m256; 8]) {
+        let t0 = _mm256_unpacklo_ps(v[0], v[1]);
+        let t1 = _mm256_unpackhi_ps(v[0], v[1]);
+        let t2 = _mm256_unpacklo_ps(v[2], v[3]);
+        let t3 = _mm256_unpackhi_ps(v[2], v[3]);
+        let t4 = _mm256_unpacklo_ps(v[4], v[5]);
+        let t5 = _mm256_unpackhi_ps(v[4], v[5]);
+        let t6 = _mm256_unpacklo_ps(v[6], v[7]);
+        let t7 = _mm256_unpackhi_ps(v[6], v[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+        v[0] = _mm256_permute2f128_ps::<0x20>(s0, s4);
+        v[1] = _mm256_permute2f128_ps::<0x20>(s1, s5);
+        v[2] = _mm256_permute2f128_ps::<0x20>(s2, s6);
+        v[3] = _mm256_permute2f128_ps::<0x20>(s3, s7);
+        v[4] = _mm256_permute2f128_ps::<0x31>(s0, s4);
+        v[5] = _mm256_permute2f128_ps::<0x31>(s1, s5);
+        v[6] = _mm256_permute2f128_ps::<0x31>(s2, s6);
+        v[7] = _mm256_permute2f128_ps::<0x31>(s3, s7);
+    }
+
+    /// Eight rows (the lanes) × `C` columns of `a·bᵀ` at `(i0, j0)`,
+    /// each lane a k-ascending `mul`-then-`add` chain from `+0.0`, then
+    /// added into `out`. Rows past `m` are padding and never stored.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `at[t·m8 + i0 + 7]` in bounds for every `t < k`,
+    /// rows `j0..j0 + C` of `b` in bounds, and `out` holding `m·n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn nt_tile<const C: usize>(
+        at: *const f32,
+        m8: usize,
+        b: *const f32,
+        out: *mut f32,
+        i0: usize,
+        j0: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let bj = b.add(j0 * k);
+        let mut acc = [_mm256_setzero_ps(); C];
+        for t in 0..k {
+            let va = _mm256_loadu_ps(at.add(t * m8 + i0));
+            for (c, s) in acc.iter_mut().enumerate() {
+                let vb = _mm256_set1_ps(*bj.add(c * k + t));
+                *s = _mm256_add_ps(*s, _mm256_mul_ps(va, vb));
+            }
+        }
+        let o = out.add(i0 * n + j0);
+        if C == 8 && i0 + 8 <= m {
+            let mut v = [_mm256_setzero_ps(); 8];
+            v.copy_from_slice(&acc[..8]);
+            transpose8(&mut v);
+            for (r, x) in v.iter().enumerate() {
+                let p = o.add(r * n);
+                _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), *x));
+            }
+        } else {
+            let mut lanes = [[0.0f32; 8]; C];
+            for (l, s) in lanes.iter_mut().zip(&acc) {
+                _mm256_storeu_ps(l.as_mut_ptr(), *s);
+            }
+            for r in 0..(m - i0).min(8) {
+                for (c, l) in lanes.iter().enumerate() {
+                    *o.add(r * n + c) += l[r];
+                }
+            }
+        }
+    }
+
+    /// `out[m,n] += a·bᵀ` from `at`, the transposed `a` padded to `m8`
+    /// rows: eight-row blocks × eight-column tiles, then a narrower
+    /// tile for the last `n mod 8` columns.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `at` holding `k·m8` elements with `m8` the
+    /// multiple of 8 at or above `m`, `b` holding `n·k` and `out` `m·n`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_nt(
+        at: &[f32],
+        m8: usize,
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let (at, bp, op) = (at.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        for i0 in (0..m).step_by(8) {
+            let mut j = 0;
+            while j + 8 <= n {
+                nt_tile::<8>(at, m8, bp, op, i0, j, m, k, n);
+                j += 8;
+            }
+            match n - j {
+                1 => nt_tile::<1>(at, m8, bp, op, i0, j, m, k, n),
+                2 => nt_tile::<2>(at, m8, bp, op, i0, j, m, k, n),
+                3 => nt_tile::<3>(at, m8, bp, op, i0, j, m, k, n),
+                4 => nt_tile::<4>(at, m8, bp, op, i0, j, m, k, n),
+                5 => nt_tile::<5>(at, m8, bp, op, i0, j, m, k, n),
+                6 => nt_tile::<6>(at, m8, bp, op, i0, j, m, k, n),
+                7 => nt_tile::<7>(at, m8, bp, op, i0, j, m, k, n),
+                _ => {}
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1308,51 +1867,77 @@ mod tests {
         }
     }
 
-    /// Throughput probe at the smoke-detector conv shapes; ignored in
-    /// normal runs. `cargo test --release -p rd-tensor simd::tests::micro
-    /// -- --ignored --nocapture`
+    /// Throughput probe at the smoke detector's twelve conv shapes
+    /// `(out channels, C·kh·kw, Ho·Wo)`: GF/s of the scalar body, the
+    /// exact kernel and the fast-tier kernel for the forward, grad-weight
+    /// and grad-input GEMMs. Ignored in normal runs:
+    /// `cargo test --release -p rd-tensor simd::tests::micro -- --ignored
+    /// --nocapture`
     #[test]
     #[ignore]
     fn micro() {
         use std::time::Instant;
+        type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
         let shapes = [
-            (8usize, 27usize, 4096usize),
-            (16, 72, 1024),
-            (32, 144, 256),
-            (64, 288, 64),
-            (96, 576, 16),
-            (128, 864, 16),
-            (64, 1152, 16),
-            (30, 64, 16),
-            (30, 64, 4),
+            ("c1", 8usize, 27usize, 4096usize),
+            ("c2", 16, 72, 1024),
+            ("c3", 32, 144, 256),
+            ("c4", 64, 288, 64),
+            ("c5", 96, 576, 16),
+            ("c6", 128, 864, 4),
+            ("c7", 64, 128, 4),
+            ("h1pre", 128, 576, 4),
+            ("h1", 30, 128, 4),
+            ("route", 32, 64, 4),
+            ("h2pre", 128, 1152, 16),
+            ("h2", 30, 128, 16),
+        ];
+        let kernels: [(&str, [Gemm; 3]); 3] = [
+            ("fwd", [conv::conv_gemm_scalar, exact_gemm, gemm]),
+            ("nt", [conv::gemm_nt_scalar, exact_gemm_nt, gemm_nt_acc]),
+            (
+                "tn",
+                [conv::gemm_tn_over_scalar, exact_gemm_tn_over, gemm_tn_over],
+            ),
         ];
         let mut rng = StdRng::seed_from_u64(7);
-        for (m, k, n) in shapes {
-            let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut o1 = vec![0.0f32; m * n];
-            let mut o2 = vec![0.0f32; m * n];
-            let reps = (200_000_000 / (m * k * n)).max(8);
-            conv::conv_gemm(&a, &b, &mut o1, m, k, n);
-            gemm(&a, &b, &mut o2, m, k, n);
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                conv::conv_gemm(&a, &b, &mut o1, m, k, n);
+        println!("backend {}", backend().label());
+        for (name, o, ckk, howo) in shapes {
+            let w: Vec<f32> = (0..o * ckk).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let cols: Vec<f32> = (0..ckk * howo).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let g: Vec<f32> = (0..o * howo).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let reps = (200_000_000 / (o * ckk * howo)).max(8);
+            let flop = 2.0 * (o * ckk * howo * reps) as f64;
+            for (kind, fns) in kernels {
+                // (a, b, out len, the three extents) as each kernel takes them
+                let (a, b, len, dims) = match kind {
+                    "fwd" => (&w, &cols, o * howo, (o, ckk, howo)),
+                    "nt" => (&g, &cols, o * ckk, (o, howo, ckk)),
+                    _ => (&w, &g, ckk * howo, (o, ckk, howo)),
+                };
+                let mut out = vec![0.0f32; len];
+                let gfs = fns.map(|f| {
+                    f(a, b, &mut out, dims.0, dims.1, dims.2);
+                    let t0 = Instant::now();
+                    for _ in 0..reps {
+                        f(a, b, &mut out, dims.0, dims.1, dims.2);
+                    }
+                    std::hint::black_box(&out);
+                    flop / t0.elapsed().as_secs_f64() / 1e9
+                });
+                println!(
+                    "{name:>5} {kind:>3} m={:4} k={:5} n={:5}: scalar {:6.2}  exact {:6.2}  \
+                     fast {:6.2} GF/s  (exact {:.2}x scalar, {:.2}x fast)",
+                    dims.0,
+                    dims.1,
+                    dims.2,
+                    gfs[0],
+                    gfs[1],
+                    gfs[2],
+                    gfs[1] / gfs[0],
+                    gfs[1] / gfs[2]
+                );
             }
-            let ts = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                gemm(&a, &b, &mut o2, m, k, n);
-            }
-            let tf = t0.elapsed().as_secs_f64();
-            let gf = |t: f64| 2.0 * (m * k * n * reps) as f64 / t / 1e9;
-            println!(
-                "m={m:4} k={k:5} n={n:5}: ref {:7.2} GF/s  simd {:7.2} GF/s  ({:.2}x)",
-                gf(ts),
-                gf(tf),
-                ts / tf
-            );
-            std::hint::black_box((&o1, &o2));
         }
     }
 
@@ -1373,30 +1958,6 @@ mod tests {
         }
         #[cfg(not(target_arch = "x86_64"))]
         assert_eq!(Backend::select(false), Backend::Portable);
-    }
-
-    #[test]
-    fn portable_gemm_is_bitwise_identical_to_reference() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for &(m, k, n) in &[
-            (3, 9, 4),
-            (5, 27, 64),
-            (4, 18, 70),
-            (2, 64, 130),
-            (7, 5, 36),
-        ] {
-            let a = randv(&mut rng, m * k, true);
-            let b = randv(&mut rng, k * n, false);
-            let mut want = vec![f32::NAN; m * n];
-            conv::conv_gemm(&a, &b, &mut want, m, k, n);
-            let mut got = vec![f32::NAN; m * n];
-            portable::gemm(&a, &b, &mut got, m, k, n);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "m={m} k={k} n={n}"
-            );
-        }
     }
 
     #[test]
@@ -1556,6 +2117,153 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts `got` and `want` equal bit for bit, naming the first
+    /// element that differs.
+    fn assert_same_bits(got: &[f32], want: &[f32], tag: &str) {
+        assert_eq!(got.len(), want.len(), "{tag}");
+        if let Some(e) = (0..got.len()).find(|&e| got[e].to_bits() != want[e].to_bits()) {
+            let (g, w) = (got[e], want[e]);
+            panic!(
+                "{tag}: element {e} is {g:e} ({:#010x}), scalar body gives {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// Uniforms in `[-2, 2)`, with exact `0.0` and `-0.0` mixed in when
+    /// `zeros`.
+    fn with_zeros(rng: &mut StdRng, len: usize, zeros: bool) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..12) {
+                0 if zeros => 0.0,
+                1 if zeros => -0.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    /// NaN, ±inf or a finite value: what may sit behind a zero weight.
+    fn poison(rng: &mut StdRng, nan: bool) -> f32 {
+        match rng.gen_range(0..4) {
+            0 if nan => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    /// The three exact GEMMs, dispatched, against their scalar bodies,
+    /// bit for bit, at `(m, k, n)` in forward terms (`nt` takes the
+    /// grid `n` as its dot length). With `zeros`, `a` holds signed
+    /// zeros and some reduction indices are *dead*: every `a` on them
+    /// is a signed zero and `b` behind them holds NaN or ±inf (±inf
+    /// only for `nt`, which skips nothing, so every NaN it makes is the
+    /// same default NaN). Without, no term is skipped.
+    fn check_exact_gemms(rng: &mut StdRng, m: usize, k: usize, n: usize, zeros: bool) {
+        let dead: Vec<bool> = (0..k).map(|_| zeros && rng.gen_range(0..6) == 0).collect();
+        let tag = format!("m={m} k={k} n={n} zeros={zeros} ({})", backend().label());
+
+        // forward: a[m,k] × b[k,n], out poisoned (overwrite mode)
+        let mut a = with_zeros(rng, m * k, zeros);
+        let mut b = randv(rng, k * n, false);
+        for p in (0..k).filter(|&p| dead[p]) {
+            (0..m).for_each(|i| a[i * k + p] = if i % 2 == 0 { 0.0 } else { -0.0 });
+            (0..n).for_each(|j| b[p * n + j] = poison(rng, true));
+        }
+        let mut want = vec![f32::NAN; m * n];
+        conv::conv_gemm_scalar(&a, &b, &mut want, m, k, n);
+        let mut got = vec![f32::NAN; m * n];
+        conv::conv_gemm(&a, &b, &mut got, m, k, n);
+        assert_same_bits(&got, &want, &format!("conv_gemm {tag}"));
+
+        // grad-input: a[k,m]ᵀ × b[k,n], out poisoned (overwrite mode)
+        let mut a = with_zeros(rng, k * m, zeros);
+        let mut b = randv(rng, k * n, false);
+        for p in (0..k).filter(|&p| dead[p]) {
+            (0..m).for_each(|i| a[p * m + i] = if i % 2 == 0 { -0.0 } else { 0.0 });
+            (0..n).for_each(|j| b[p * n + j] = poison(rng, true));
+        }
+        let mut want = vec![f32::NAN; m * n];
+        conv::gemm_tn_over_scalar(&a, &b, &mut want, k, m, n);
+        let mut got = vec![f32::NAN; m * n];
+        conv::gemm_tn_over(&a, &b, &mut got, k, m, n);
+        assert_same_bits(&got, &want, &format!("gemm_tn_over {tag}"));
+
+        // grad-weight: out[m,k] += a[m,n] × b[k,n]ᵀ, non-zero start
+        let mut a = with_zeros(rng, m * n, zeros);
+        let mut b = randv(rng, k * n, false);
+        if dead[0] {
+            (0..m).for_each(|i| a[i * n] = 0.0);
+            (0..k).for_each(|j| b[j * n] = poison(rng, false));
+        }
+        let base = randv(rng, m * k, false);
+        let mut want = base.clone();
+        conv::gemm_nt_scalar(&a, &b, &mut want, m, n, k);
+        let mut got = base;
+        conv::gemm_nt(&a, &b, &mut got, m, n, k);
+        assert_same_bits(&got, &want, &format!("gemm_nt {tag}"));
+    }
+
+    #[test]
+    fn exact_gemms_bitwise_match_scalar() {
+        let mut rng = StdRng::seed_from_u64(94);
+        // every smoke (64²…2²) and standard (96²…3²) detector grid, with
+        // row counts off every row block (30 = the heads) and on them
+        for zeros in [true, false] {
+            for n in [4usize, 16, 64, 256, 1024, 4096, 9, 36, 144, 576, 2304, 9216] {
+                for (m, k) in [(30usize, 9usize), (8, 5), (3, 27)] {
+                    check_exact_gemms(&mut rng, m, k, n, zeros);
+                }
+            }
+            // odd widths: every tile width plus a scalar tail
+            for n in [1usize, 2, 3, 5, 70, 130, 63] {
+                check_exact_gemms(&mut rng, 17, 12, n, zeros);
+            }
+            for _ in 0..40 {
+                let m = rng.gen_range(1..40);
+                let k = rng.gen_range(1..70);
+                let n = rng.gen_range(1..300);
+                check_exact_gemms(&mut rng, m, k, n, zeros);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm: slices shorter")]
+    fn gemm_rejects_a_short_b() {
+        let mut out = vec![0.0f32; 9 * 8];
+        gemm(&[1.0; 9 * 4], &[1.0; 4 * 8 - 1], &mut out, 9, 4, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_tn_over: slices shorter")]
+    fn gemm_tn_over_rejects_a_short_b() {
+        let mut out = vec![0.0f32; 9 * 8];
+        gemm_tn_over(&[1.0; 4 * 9], &[1.0; 4 * 8 - 1], &mut out, 4, 9, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "exact_gemm: slices shorter")]
+    fn exact_gemm_rejects_a_short_b() {
+        let mut out = vec![0.0f32; 9 * 8];
+        exact_gemm(&[1.0; 9 * 4], &[1.0; 4 * 8 - 1], &mut out, 9, 4, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "exact_gemm_tn_over: slices shorter")]
+    fn exact_gemm_tn_over_rejects_a_short_b() {
+        let mut out = vec![0.0f32; 9 * 8];
+        exact_gemm_tn_over(&[1.0; 4 * 9], &[1.0; 4 * 8 - 1], &mut out, 4, 9, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "exact_gemm_nt: slices shorter")]
+    fn exact_gemm_nt_rejects_a_short_b() {
+        let mut out = vec![0.0f32; 9 * 8];
+        exact_gemm_nt(&[1.0; 9 * 4], &[1.0; 8 * 4 - 1], &mut out, 9, 4, 8);
     }
 
     proptest! {
