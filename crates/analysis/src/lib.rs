@@ -42,10 +42,6 @@
 //! * [`race`] — a static data-race check for the worker-group fan-out:
 //!   the sample partition is exhaustively verified and every conv's
 //!   chunk strides are proven consistent with the slot table.
-//! * [`bounds`] — interval + ulp-error propagation certifying a
-//!   [`bounds::LogitBound`] for a candidate GEMM kernel substitution
-//!   (the `f32x8`/FMA tier): a static max-abs-divergence bound on the
-//!   logits, checked against observed divergence by the test suite.
 //! * [`plan_mutate`] — targeted plan corruptions for mutation-testing
 //!   the lints themselves.
 //!
@@ -72,7 +68,6 @@
 //! ```
 
 pub mod alias;
-pub mod bounds;
 pub mod grad_audit;
 pub mod ir;
 mod lints;
@@ -82,7 +77,6 @@ pub mod plan_mutate;
 pub mod race;
 mod shape;
 
-pub use bounds::{certify_logit_bounds, KernelModel, LogitBound};
 pub use grad_audit::{render_table, run_grad_audit, OpReport};
 pub use ir::{
     audit_plan, audit_plan_or_panic, check_col_budget, check_fusion, check_params, orphan_params,

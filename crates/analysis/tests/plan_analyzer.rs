@@ -1,6 +1,5 @@
-//! Plan-analyzer integration tests: clean audits over every real plan,
-//! mutation tests proving each lint fires at the exact op path, and
-//! soundness checks for the static ulp-error certificates.
+//! Plan-analyzer integration tests: clean audits over every real plan
+//! and mutation tests proving each lint fires at the exact op path.
 //!
 //! The mutation half is the analyzer's negative-path coverage demanded
 //! by ISSUE 6: a lint that never fires is indistinguishable from a lint
@@ -11,16 +10,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rd_analysis::{
-    audit_plan, certify_logit_bounds, liveness, plan_mutate, Corruption, KernelModel, PlanIr,
-    PlanLintKind,
-};
+use rd_analysis::{audit_plan, liveness, plan_mutate, Corruption, PlanIr, PlanLintKind};
 use rd_detector::{TinyYolo, YoloConfig};
 use rd_gan::{Discriminator, GanConfig, Generator};
-use rd_tensor::{
-    ConvGeom, Graph, ParamRef, ParamRole, ParamSet, PlanKind, PlanMeta, PlanOpMeta, SlotMeta,
-    Tensor,
-};
+use rd_tensor::{Graph, ParamRole, ParamSet, PlanKind, PlanMeta, PlanOpMeta, Tensor};
 
 /// Smoke-scale detector with fully randomized parameters (running
 /// variances kept positive), as in the infer/train equivalence tests.
@@ -403,184 +396,4 @@ fn shrunk_col_budget_is_infeasible() {
         PlanLintKind::ColBudget,
         &anchor(&meta, smallest),
     );
-}
-
-// ---------------------------------------------------------------------
-// ulp-error certification
-// ---------------------------------------------------------------------
-
-#[test]
-fn reference_kernel_certifies_zero_divergence() {
-    let (det, ps) = random_detector(31);
-    let meta = det.infer_plan(&ps).meta();
-    let bounds = certify_logit_bounds(&meta, &ps, 0.0, 1.0, &KernelModel::reference())
-        .expect("inference plan certifies");
-    assert_eq!(bounds.len(), 2, "two detector heads");
-    for b in &bounds {
-        assert_eq!(
-            b.max_abs_err, 0.0,
-            "identical instruction sequences cannot diverge"
-        );
-        assert!(b.lo.is_finite() && b.hi.is_finite() && b.lo <= b.hi);
-    }
-}
-
-#[test]
-fn candidate_kernel_bound_is_finite_and_covers_observed_divergence() {
-    let (det, ps) = random_detector(32);
-    let meta = det.infer_plan(&ps).meta();
-    let bounds = certify_logit_bounds(&meta, &ps, 0.0, 1.0, &KernelModel::f32x8_fma())
-        .expect("inference plan certifies");
-    let cert: f64 = bounds.iter().map(|b| b.max_abs_err).fold(0.0, f64::max);
-    assert!(
-        cert.is_finite() && cert > 0.0,
-        "divergent model, bound {cert}"
-    );
-
-    // Observed divergence of the *scalar* compiled path vs the tape is
-    // bitwise zero (the runtime equivalence tests enforce it); zero is
-    // trivially within any sound candidate bound. This anchors the
-    // certificate against a real execution rather than only the model.
-    let mut rng = StdRng::seed_from_u64(99);
-    let n = 2usize;
-    let x = {
-        let len = n * 3 * 64 * 64;
-        let data: Vec<f32> = (0..len).map(|_| rng.gen_range(0.0..1.0)).collect();
-        Tensor::from_vec(data, &[n, 3, 64, 64])
-    };
-    let (cc, cf) = det.infer(&ps, &x);
-    let mut g = Graph::new();
-    let xin = g.input(x);
-    let out = det.forward_frozen(&mut g, &ps, xin);
-    let (tc, tf) = (g.value(out.coarse), g.value(out.fine));
-    let observed = tc
-        .data()
-        .iter()
-        .zip(cc.data())
-        .chain(tf.data().iter().zip(cf.data()))
-        .map(|(a, b)| (*a as f64 - *b as f64).abs())
-        .fold(0.0, f64::max);
-    assert!(
-        observed <= cert,
-        "observed divergence {observed} exceeds certified bound {cert}"
-    );
-}
-
-#[test]
-fn train_mode_batch_norm_refuses_certification() {
-    let (det, ps) = random_detector(33);
-    let meta = det.train_plan(&ps).meta();
-    let err = certify_logit_bounds(&meta, &ps, 0.0, 1.0, &KernelModel::f32x8_fma())
-        .expect_err("batch statistics admit no static input-box bound");
-    assert!(err.contains("batch_norm2d_train"), "got: {err}");
-}
-
-/// Soundness against a *real* reassociated+FMA execution: a hand-built
-/// single-conv plan is certified, then the same convolution is computed
-/// with the scalar k-ascending reduction and with an 8-lane
-/// partial-sum-plus-`mul_add` reduction (the exact rounding shape of
-/// the ROADMAP item-1 `f32x8`/FMA kernel). Their divergence must sit
-/// inside the certificate on every random input in the declared box.
-#[test]
-fn certified_bound_covers_a_simulated_f32x8_fma_kernel() {
-    let (cin, kh, kw, hin, win, cout) = (3usize, 3usize, 3usize, 8usize, 8usize, 4usize);
-    let (ho, wo) = (hin - kh + 1, win - kw + 1);
-    let k = cin * kh * kw;
-
-    let mut rng = StdRng::seed_from_u64(5);
-    let wdata: Vec<f32> = (0..cout * k).map(|_| rng.gen_range(-0.5..0.5)).collect();
-    let mut ps = ParamSet::new();
-    ps.register("w", Tensor::from_vec(wdata.clone(), &[cout, cin, kh, kw]));
-
-    let meta = PlanMeta {
-        kind: PlanKind::Infer,
-        ops: vec![PlanOpMeta {
-            name: "conv".into(),
-            path: "test/conv".into(),
-            reads: vec![0],
-            writes: vec![1],
-            params: vec![ParamRef {
-                role: ParamRole::ConvWeight,
-                index: 0,
-            }],
-            fused: vec!["conv2d".into()],
-            conv: Some(ConvGeom {
-                stride: 1,
-                pad: 0,
-                cin,
-                hin,
-                win,
-                cout,
-                kh,
-                kw,
-                ho,
-                wo,
-            }),
-            linear: None,
-            alpha: None,
-            bn_train: None,
-            bn_eps: None,
-            gx_direct: None,
-        }],
-        slots: vec![
-            SlotMeta {
-                len: cin * hin * win,
-                shape: vec![cin, hin, win],
-            },
-            SlotMeta {
-                len: cout * ho * wo,
-                shape: vec![cout, ho, wo],
-            },
-        ],
-        input_slot: 0,
-        outputs: vec![1],
-        col_budget: None,
-    };
-    assert!(audit_plan(&meta, &ps).is_empty(), "synthetic plan is clean");
-
-    let bound = certify_logit_bounds(&meta, &ps, 0.0, 1.0, &KernelModel::f32x8_fma())
-        .expect("single conv certifies")[0];
-    assert!(bound.max_abs_err.is_finite() && bound.max_abs_err > 0.0);
-    assert!(bound.ulps_at_scale.is_finite());
-
-    let mut worst = 0.0f64;
-    for _ in 0..20 {
-        let x: Vec<f32> = (0..cin * hin * win)
-            .map(|_| rng.gen_range(0.0..1.0))
-            .collect();
-        for o in 0..cout {
-            let row = &wdata[o * k..(o + 1) * k];
-            for y in 0..ho {
-                for xx in 0..wo {
-                    // taps in (c, i, j) order, shared by both reductions
-                    let mut taps = Vec::with_capacity(k);
-                    for c in 0..cin {
-                        for i in 0..kh {
-                            for j in 0..kw {
-                                taps.push(x[(c * hin + y + i) * win + xx + j]);
-                            }
-                        }
-                    }
-                    // scalar reference: k-ascending accumulation
-                    let mut reference = 0.0f32;
-                    for (w, t) in row.iter().zip(&taps) {
-                        reference += w * t;
-                    }
-                    // candidate: 8 partial lanes + FMA, lanes summed last
-                    let mut lanes = [0.0f32; 8];
-                    for (t, (w, tap)) in row.iter().zip(&taps).enumerate() {
-                        lanes[t % 8] = w.mul_add(*tap, lanes[t % 8]);
-                    }
-                    let candidate: f32 = lanes.iter().sum();
-                    worst = worst.max((reference as f64 - candidate as f64).abs());
-                }
-            }
-        }
-    }
-    assert!(
-        worst <= bound.max_abs_err,
-        "simulated f32x8+FMA kernel diverged by {worst}, certificate allows {}",
-        bound.max_abs_err
-    );
-    assert!(worst > 0.0, "the simulation should actually diverge");
 }

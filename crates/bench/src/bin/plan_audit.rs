@@ -1,6 +1,5 @@
 //! Static plan audit: runs the `rd-analysis` plan analyzer over every
-//! compiled plan in the workspace's model zoo and certifies ulp-error
-//! bounds for the ROADMAP item-1 kernel substitution.
+//! compiled plan in the workspace's model zoo.
 //!
 //! ```text
 //! cargo run --release -p rd-bench --bin plan_audit -- \
@@ -17,11 +16,8 @@
 //!
 //! Per plan it prints op/buffer statistics (op count, fused convs,
 //! slots, peak live per-sample activation footprint) and every analyzer
-//! finding; per inference plan it additionally certifies a
-//! [`rd_analysis::LogitBound`] for the `f32x8-fma` candidate kernel
-//! model. The process exits nonzero on any finding, any orphan
-//! parameter, or an inference bound that fails to certify — this is the
-//! hard gate ci.sh runs.
+//! finding. The process exits nonzero on any finding or any orphan
+//! parameter — this is the hard gate ci.sh runs.
 //!
 //! This binary lives in `rd-bench` rather than `rd-analysis` because
 //! the model crates already depend on `rd-analysis` for the
@@ -31,7 +27,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rd_analysis::{certify_logit_bounds, liveness, KernelModel, PlanIr};
+use rd_analysis::{liveness, PlanIr};
 use rd_bench::arg;
 use rd_detector::{TinyYolo, YoloConfig};
 use rd_gan::{Discriminator, GanConfig, Generator};
@@ -46,29 +42,10 @@ struct Report {
     slots: usize,
     peak_live_f32: usize,
     issues: Vec<String>,
-    /// Certified max-abs divergence in logit-scale ulps for the
-    /// `f32x8-fma` candidate, when the plan admits a static bound.
-    bound_ulps: Option<f64>,
 }
 
-impl Report {
-    /// The highest execution tier this plan certifies under: inference
-    /// plans with a finite f32x8-fma bound may run the fast tier;
-    /// training/gradient plans (and plans whose bound failed to
-    /// certify) stay on the scalar reference, which is the oracle
-    /// itself and needs no certificate.
-    fn certified_tier(&self) -> &'static str {
-        match self.bound_ulps {
-            Some(u) if u.is_finite() => "fast",
-            _ => "reference",
-        }
-    }
-}
-
-/// Audits one plan: lints + liveness statistics + (for inference
-/// plans over `[input_lo, input_hi]` inputs) the candidate-kernel
-/// ulp-bound certificate.
-fn audit(tag: &str, meta: &PlanMeta, ps: &ParamSet, input_box: Option<(f64, f64)>) -> Report {
+/// Audits one plan: lints + liveness statistics.
+fn audit(tag: &str, meta: &PlanMeta, ps: &ParamSet) -> Report {
     let issues: Vec<String> = rd_analysis::audit_plan(meta, ps)
         .iter()
         .map(|i| i.to_string())
@@ -77,21 +54,6 @@ fn audit(tag: &str, meta: &PlanMeta, ps: &ParamSet, input_box: Option<(f64, f64)
         Ok(ir) => (meta.slots.len(), liveness::peak_live_elems(&ir)),
         Err(_) => (meta.slots.len(), 0), // already reported as issues
     };
-    let mut issues = issues;
-    let bound_ulps = input_box.and_then(|(lo, hi)| {
-        match certify_logit_bounds(meta, ps, lo, hi, &KernelModel::f32x8_fma()) {
-            Ok(bounds) => bounds
-                .iter()
-                .map(|b| b.ulps_at_scale)
-                .fold(None, |acc: Option<f64>, u| {
-                    Some(acc.map_or(u, |a| a.max(u)))
-                }),
-            Err(e) => {
-                issues.push(format!("[ulp-bound] {tag}: certification failed: {e}"));
-                None
-            }
-        }
-    });
     Report {
         tag: tag.to_string(),
         kind: match meta.kind {
@@ -103,7 +65,6 @@ fn audit(tag: &str, meta: &PlanMeta, ps: &ParamSet, input_box: Option<(f64, f64)
         slots,
         peak_live_f32: peak,
         issues,
-        bound_ulps,
     }
 }
 
@@ -129,15 +90,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let det_infer = det.infer_plan(&ps_det).meta();
     let det_train = det.train_plan(&ps_det).meta();
     let det_grad = det.grad_plan(&ps_det).meta();
-    // Rendered frames are normalized RGB in [0, 1].
-    reports.push(audit(
-        "detector/infer",
-        &det_infer,
-        &ps_det,
-        Some((0.0, 1.0)),
-    ));
-    reports.push(audit("detector/train", &det_train, &ps_det, None));
-    reports.push(audit("detector/grad", &det_grad, &ps_det, None));
+    reports.push(audit("detector/infer", &det_infer, &ps_det));
+    reports.push(audit("detector/train", &det_train, &ps_det));
+    reports.push(audit("detector/grad", &det_grad, &ps_det));
     orphan_msgs.extend(
         rd_analysis::orphan_params(&[&det_infer, &det_train, &det_grad], &ps_det)
             .iter()
@@ -152,15 +107,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let disc = Discriminator::new(&mut ps_d, &mut rng, cfg);
     let gen_infer = gen.infer_plan(&ps_g).meta();
     let disc_infer = disc.infer_plan(&ps_d).meta();
-    // Latents are standard normal; ±6σ is far beyond anything sampled.
-    reports.push(audit("gan/generator", &gen_infer, &ps_g, Some((-6.0, 6.0))));
-    // Decals leave the generator through a sigmoid, so inputs are [0, 1].
-    reports.push(audit(
-        "gan/discriminator",
-        &disc_infer,
-        &ps_d,
-        Some((0.0, 1.0)),
-    ));
+    reports.push(audit("gan/generator", &gen_infer, &ps_g));
+    reports.push(audit("gan/discriminator", &disc_infer, &ps_d));
     orphan_msgs.extend(
         rd_analysis::orphan_params(&[&gen_infer], &ps_g)
             .iter()
@@ -174,22 +122,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- render ------------------------------------------------------
     println!(
-        "{:<24} {:<6} {:>5} {:>6} {:>6} {:>14} {:>16} {:>10}",
-        "plan", "kind", "ops", "convs", "slots", "peak-live f32", "f32x8 bound ulps", "tier"
+        "{:<24} {:<6} {:>5} {:>6} {:>6} {:>14}",
+        "plan", "kind", "ops", "convs", "slots", "peak-live f32"
     );
     let mut failed = false;
     for r in &reports {
-        let bound = r.bound_ulps.map_or("-".to_string(), |u| format!("{u:.3}"));
         println!(
-            "{:<24} {:<6} {:>5} {:>6} {:>6} {:>14} {:>16} {:>10}",
-            r.tag,
-            r.kind,
-            r.ops,
-            r.convs,
-            r.slots,
-            r.peak_live_f32,
-            bound,
-            r.certified_tier()
+            "{:<24} {:<6} {:>5} {:>6} {:>6} {:>14}",
+            r.tag, r.kind, r.ops, r.convs, r.slots, r.peak_live_f32
         );
         for i in &r.issues {
             failed = true;
@@ -207,8 +147,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .map(|r| {
             format!(
                 "    {{\"tag\": \"{}\", \"kind\": \"{}\", \"ops\": {}, \"convs\": {}, \
-                 \"slots\": {}, \"peak_live_f32\": {}, \"issues\": {}, \"bound_ulps\": {}, \
-                 \"certified_tier\": \"{}\"}}",
+                 \"slots\": {}, \"peak_live_f32\": {}, \"issues\": {}}}",
                 r.tag,
                 r.kind,
                 r.ops,
@@ -216,9 +155,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 r.slots,
                 r.peak_live_f32,
                 r.issues.len(),
-                r.bound_ulps
-                    .map_or("null".to_string(), |u| format!("{u:.6}")),
-                r.certified_tier(),
             )
         })
         .collect();
@@ -236,9 +172,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     if failed {
         return Err("plan audit found issues (see FAIL lines above)".into());
     }
-    println!(
-        "plan_audit: {} plan(s) clean, every inference bound certified",
-        reports.len()
-    );
+    println!("plan_audit: {} plan(s) clean", reports.len());
     Ok(())
 }

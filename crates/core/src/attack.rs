@@ -412,7 +412,7 @@ pub struct AttackTrainer<'a> {
     detector: &'a TinyYolo,
     ps_det: &'a mut ParamSet,
     /// Runtime every step/checkpoint/restore re-enters, so one job's
-    /// kernels, arena traffic and tier never leak across jobs.
+    /// kernels, arena traffic and thread budget never leak across jobs.
     rt: Runtime,
     cfg: AttackConfig,
     rng: StdRng,

@@ -8,7 +8,7 @@
 //! a materialize-then-batch *reference oracle* that draws the per-run
 //! RNG in the same order (`run_rng`) and batches the same 16-frame
 //! groups; streamed and buffered evaluation are held bitwise-identical
-//! at any thread count and on either execution tier.
+//! at any thread count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -8,8 +8,8 @@
 //! length, so nothing ships it; it stays here as the ground truth the
 //! streaming pipeline behind [`crate::eval::evaluate_challenge`] is
 //! held against. The tests compare per-frame detections, not just the
-//! folded PWC/CWC, at 1 and N threads, on both execution tiers, on the
-//! noiseless digital channel and on the noise-bearing simulated one.
+//! folded PWC/CWC, at 1 and N threads, on the noiseless digital
+//! channel and on the noise-bearing simulated one.
 
 use rd_detector::{has_consecutive, postprocess_into, DecodeBuffers, Detection, TinyYolo};
 use rd_scene::{CaptureDraws, ObjectClass};
@@ -152,7 +152,7 @@ fn evaluate_buffered(
 
 mod tests {
     use rd_scene::{CameraRig, PhysicalChannel, RotationSetting, Speed};
-    use rd_tensor::{Runtime, RuntimeConfig, Tier};
+    use rd_tensor::{Runtime, RuntimeConfig};
     use rd_vision::shapes::{mask, Shape};
     use rd_vision::Plane;
 
@@ -211,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_matches_buffered_bitwise_across_tiers_and_threads() {
+    fn streamed_matches_buffered_bitwise_across_threads() {
         let (env, scenario, decals) = setup();
         // a rotation drive of two full chunks plus a partial one
         // (40 = 2×16 + 8), over two runs: exercises chunk-boundary and
@@ -228,25 +228,22 @@ mod tests {
                 channel,
                 ..EvalConfig::smoke(7)
             };
-            for tier in [Tier::Reference, Tier::Fast] {
-                for threads in [1usize, 4] {
-                    let rt = Runtime::new(RuntimeConfig {
-                        threads,
-                        tier,
-                        profiling: false,
-                    });
-                    let ctx = format!("{name} channel, tier {tier:?}, {threads} threads");
-                    rt.enter(|| {
-                        assert_streamed_matches_buffered(
-                            &env,
-                            &scenario,
-                            &decals,
-                            Challenge::Rotation(RotationSetting::Slight),
-                            &cfg,
-                            &ctx,
-                        )
-                    });
-                }
+            for threads in [1usize, 4] {
+                let rt = Runtime::new(RuntimeConfig {
+                    threads,
+                    ..RuntimeConfig::default()
+                });
+                let ctx = format!("{name} channel, {threads} threads");
+                rt.enter(|| {
+                    assert_streamed_matches_buffered(
+                        &env,
+                        &scenario,
+                        &decals,
+                        Challenge::Rotation(RotationSetting::Slight),
+                        &cfg,
+                        &ctx,
+                    )
+                });
             }
         }
     }

@@ -3,19 +3,17 @@
 //! A [`FaultPlan`] scripts failures into a training run at exact,
 //! reproducible points: NaNs planted in chosen gradients, a simulated
 //! process kill at step N, a hard panic at step N, a stall (sleep) at
-//! step N, an injected fast-tier ulp-certificate violation at step N,
-//! and corruption (truncation, bit-flips, torn writes) of checkpoint
-//! bytes as they are written. Everything is driven by the plan's seed,
-//! so a failing recovery test replays identically.
+//! step N, and corruption (truncation, bit-flips, torn writes) of
+//! checkpoint bytes as they are written. Everything is driven by the
+//! plan's seed, so a failing recovery test replays identically.
 //!
 //! The plan plugs into [`crate::runner::TrainRunner`]: gradient faults
 //! arrive through the trainers' [`rd_detector::GradHook`] (after
-//! clipping, before the finiteness check), kills/panics/stalls/drifts
-//! are checked before each step, and checkpoint corruption is applied
-//! to the encoded bytes of the Nth write. The panic, stall and
-//! tier-drift faults exist for the [`crate::supervisor`] containment
-//! tests: a supervised job sabotaged this way must not disturb its
-//! sibling jobs.
+//! clipping, before the finiteness check), kills/panics/stalls are
+//! checked before each step, and checkpoint corruption is applied to
+//! the encoded bytes of the Nth write. The panic and stall faults exist
+//! for the [`crate::supervisor`] containment tests: a supervised job
+//! sabotaged this way must not disturb its sibling jobs.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -46,20 +44,6 @@ struct NanFault {
     fired: AtomicU32,
 }
 
-/// An injected fast-tier divergence: what a tier guard would report if
-/// a fast-tier run drifted outside its static ulp certificate. Also the
-/// shape a real probe returns, so injected and observed drift flow
-/// through the same demotion path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TierDriftInfo {
-    /// Detector head whose output drifted (e.g. `"head/coarse"`).
-    pub head: String,
-    /// Worst observed divergence from the reference tier, in ulps.
-    pub observed_ulp: u32,
-    /// The static per-head certificate bound that was exceeded.
-    pub bound_ulp: u32,
-}
-
 /// A deterministic schedule of faults to inject into a training run.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -68,7 +52,6 @@ pub struct FaultPlan {
     kill_at: Option<u64>,
     panic_at: Option<u64>,
     stall: Option<(u64, Duration)>,
-    tier_drift: Option<(u64, TierDriftInfo)>,
     corrupt: Option<(usize, CorruptMode)>,
 }
 
@@ -132,28 +115,6 @@ impl FaultPlan {
         self
     }
 
-    /// Reports an injected fast-tier certificate violation when the
-    /// runner reaches `step`: the tier guard then behaves exactly as if
-    /// `head` had been observed `observed_ulp` ulps from the reference
-    /// tier against a static bound of `bound_ulp`.
-    pub fn tier_drift_at(
-        mut self,
-        step: u64,
-        head: &str,
-        observed_ulp: u32,
-        bound_ulp: u32,
-    ) -> Self {
-        self.tier_drift = Some((
-            step,
-            TierDriftInfo {
-                head: head.to_string(),
-                observed_ulp,
-                bound_ulp,
-            },
-        ));
-        self
-    }
-
     /// Whether the runner should panic at `step`.
     pub fn should_panic(&self, step: u64) -> bool {
         self.panic_at == Some(step)
@@ -163,14 +124,6 @@ impl FaultPlan {
     pub fn stall_for(&self, step: u64) -> Option<Duration> {
         match self.stall {
             Some((s, d)) if s == step => Some(d),
-            _ => None,
-        }
-    }
-
-    /// The injected tier drift scheduled for `step`, if any.
-    pub fn tier_drift(&self, step: u64) -> Option<TierDriftInfo> {
-        match &self.tier_drift {
-            Some((s, info)) if *s == step => Some(info.clone()),
             _ => None,
         }
     }
@@ -359,19 +312,13 @@ mod tests {
     }
 
     #[test]
-    fn panic_stall_and_drift_schedules_are_step_scoped() {
+    fn panic_and_stall_schedules_are_step_scoped() {
         let plan = FaultPlan::new(0)
             .panic_at(3)
-            .stall_at(4, Duration::from_millis(250))
-            .tier_drift_at(5, "head/coarse", 9000, 4096);
+            .stall_at(4, Duration::from_millis(250));
         assert!(!plan.should_panic(2));
         assert!(plan.should_panic(3));
         assert_eq!(plan.stall_for(3), None);
         assert_eq!(plan.stall_for(4), Some(Duration::from_millis(250)));
-        assert_eq!(plan.tier_drift(4), None);
-        let drift = plan.tier_drift(5).expect("drift scheduled at 5");
-        assert_eq!(drift.head, "head/coarse");
-        assert_eq!(drift.observed_ulp, 9000);
-        assert_eq!(drift.bound_ulp, 4096);
     }
 }

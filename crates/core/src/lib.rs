@@ -15,8 +15,8 @@
 //!   the paper's PWC and CWC metrics ([`metrics`]);
 //! * [`experiments`] — one entry point per paper table and figure;
 //! * [`supervisor`] — isolated concurrent jobs on per-job
-//!   [`rd_tensor::Runtime`]s: panic quarantine, deadlines,
-//!   retry/backoff and fast-tier demotion around [`runner`].
+//!   [`rd_tensor::Runtime`]s: panic quarantine, deadlines and
+//!   retry/backoff around [`runner`].
 //!
 //! # Examples
 //!
@@ -64,7 +64,7 @@ pub use baseline::{train_baseline_patch, BaselineConfig, BaselinePatch};
 pub use decal::Decal;
 pub use defense::{evaluate_defense, Defense, DefenseOutcome};
 pub use eval::{evaluate_challenge, evaluate_clean, Challenge, ChallengeOutcome, EvalConfig};
-pub use fault::{CorruptMode, FaultPlan, TierDriftInfo};
+pub use fault::{CorruptMode, FaultPlan};
 pub use metrics::{Cell, Table};
 pub use render::{FrameRenderer, RenderCacheStats};
 pub use runner::{
@@ -76,4 +76,4 @@ pub use stream::{
     eval_fleet, evaluate_streamed, FleetConfig, FleetReport, StreamStats, StreamedEval,
     BATCH_FRAMES,
 };
-pub use supervisor::{run_fleet, run_job, JobCtx, JobOutcome, JobReport, JobSpec, TierDemotion};
+pub use supervisor::{run_fleet, run_job, JobCtx, JobOutcome, JobReport, JobSpec};

@@ -23,16 +23,10 @@
 //!
 //! The runner also carries a [`Runtime`] binding: cooperative
 //! cancellation/deadline state is checked at every step boundary
-//! ([`RunnerError::Cancelled`]), and on the fast tier a guard — fed by
-//! an optional live probe ([`TrainRunner::with_tier_probe`]) or by the
-//! fault plan's injected drift — stops the run with
-//! [`RunnerError::TierDrift`] so the [`crate::supervisor`] can demote
-//! the job to the reference tier and resume it from the last
-//! checkpoint.
+//! ([`RunnerError::Cancelled`]).
 //!
 //! The [`crate::fault`] harness plugs in here to script NaNs, kills,
-//! panics, stalls, tier drift and checkpoint corruption for the
-//! integration tests.
+//! panics, stalls and checkpoint corruption for the integration tests.
 
 use std::error::Error;
 use std::fmt;
@@ -44,10 +38,10 @@ use rd_tensor::io::{
     encode_checkpoint, load_checkpoint_file, save_checkpoint_bytes, Checkpoint, CheckpointError,
 };
 use rd_tensor::optim::StepOutcome;
-use rd_tensor::{runtime, Cancelled, ParamSet, Runtime, Tier};
+use rd_tensor::{runtime, Cancelled, ParamSet, Runtime};
 
 use crate::attack::{AttackConfig, AttackTrainer, TrainedDecal};
-use crate::fault::{FaultPlan, TierDriftInfo};
+use crate::fault::FaultPlan;
 use crate::scenario::AttackScenario;
 
 /// Anything the recovery runner can drive: a step-wise trainer whose
@@ -176,9 +170,6 @@ pub struct RunnerReport {
     pub nonfinite_events: Vec<(u64, String)>,
     /// Checkpoints written to disk.
     pub checkpoints_written: u32,
-    /// Label of the execution tier the run executed under (empty on
-    /// reports built before PR 8).
-    pub tier: String,
 }
 
 /// Why a recovered run stopped without finishing.
@@ -200,16 +191,6 @@ pub enum RunnerError {
         /// Why the runtime tripped (explicit cancel vs deadline).
         cause: Cancelled,
     },
-    /// A fast-tier run drifted outside its static ulp certificate
-    /// (observed by a tier probe or injected by the fault plan). The
-    /// supervisor demotes the job to the reference tier and resumes it
-    /// from the last checkpoint.
-    TierDrift {
-        /// Step the drift was detected at.
-        step: u64,
-        /// Offending head plus observed/bound ulps.
-        drift: TierDriftInfo,
-    },
 }
 
 impl fmt::Display for RunnerError {
@@ -222,12 +203,6 @@ impl fmt::Display for RunnerError {
             RunnerError::Cancelled { step, cause } => {
                 write!(f, "run cancelled at step {step}: {cause}")
             }
-            RunnerError::TierDrift { step, drift } => write!(
-                f,
-                "fast tier drifted outside its certificate at step {step}: \
-                 {} observed {} ulp > bound {} ulp",
-                drift.head, drift.observed_ulp, drift.bound_ulp
-            ),
         }
     }
 }
@@ -247,21 +222,13 @@ impl From<CheckpointError> for RunnerError {
     }
 }
 
-/// A periodic fast-tier divergence probe: called every
-/// [`TrainRunner::with_tier_probe`] cadence steps while the runner's
-/// runtime is on [`Tier::Fast`], returning drift info when the observed
-/// fast-vs-reference divergence exceeds the static ulp certificate.
-pub type TierProbe<'p> = &'p dyn Fn(u64) -> Option<TierDriftInfo>;
-
 /// Drives a [`Trainable`] to completion under a recovery policy.
 pub struct TrainRunner<'p> {
     opts: RecoveryOptions,
     fault: Option<&'p FaultPlan>,
-    /// Runtime whose cancellation state and tier the run loop honors
-    /// (the caller's current runtime unless overridden).
+    /// Runtime whose cancellation state the run loop honors (the
+    /// caller's current runtime unless overridden).
     rt: Runtime,
-    /// `(cadence, probe)`: live fast-tier drift detection.
-    tier_probe: Option<(u64, TierProbe<'p>)>,
 }
 
 /// Writes checkpoint bytes, creating the parent directory on first use.
@@ -276,13 +243,12 @@ fn write_checkpoint(bytes: &[u8], path: &std::path::Path) -> Result<(), Checkpoi
 
 impl<'p> TrainRunner<'p> {
     /// A runner with the given policy and no fault injection, honoring
-    /// the cancellation state and tier of the caller's current runtime.
+    /// the cancellation state of the caller's current runtime.
     pub fn new(opts: RecoveryOptions) -> Self {
         TrainRunner {
             opts,
             fault: None,
             rt: runtime::current(),
-            tier_probe: None,
         }
     }
 
@@ -292,21 +258,12 @@ impl<'p> TrainRunner<'p> {
         self
     }
 
-    /// Binds the runner to an explicit [`Runtime`]: its cancellation
-    /// state is checked at every step boundary and its tier is what the
-    /// tier guard inspects. The trainers themselves carry their own
-    /// runtime binding (`with_runtime`); pass the same handle to both.
+    /// Binds the runner to an explicit [`Runtime`], whose cancellation
+    /// state is checked at every step boundary. The trainers themselves
+    /// carry their own runtime binding (`with_runtime`); pass the same
+    /// handle to both.
     pub fn with_runtime(mut self, rt: Runtime) -> Self {
         self.rt = rt;
-        self
-    }
-
-    /// Installs a fast-tier divergence probe, called every `cadence`
-    /// completed steps while the runner's runtime is on [`Tier::Fast`].
-    /// When the probe reports drift the run stops with
-    /// [`RunnerError::TierDrift`] so a supervisor can demote the job.
-    pub fn with_tier_probe(mut self, cadence: u64, probe: TierProbe<'p>) -> Self {
-        self.tier_probe = Some((cadence.max(1), probe));
         self
     }
 
@@ -323,7 +280,7 @@ impl<'p> TrainRunner<'p> {
         }
     }
 
-    /// The scripted-fault and tier-guard gate run before every step.
+    /// The cancellation and scripted-fault gate run before every step.
     fn preflight(&self, step: u64) -> Result<(), RunnerError> {
         if let Some(cause) = self.rt.cancel_state() {
             return Err(RunnerError::Cancelled { step, cause });
@@ -343,16 +300,6 @@ impl<'p> TrainRunner<'p> {
                 }
             }
         }
-        if self.rt.tier() == Tier::Fast {
-            let injected = self.fault.and_then(|p| p.tier_drift(step));
-            let probed = match self.tier_probe {
-                Some((cadence, probe)) if step > 0 && step.is_multiple_of(cadence) => probe(step),
-                _ => None,
-            };
-            if let Some(drift) = injected.or(probed) {
-                return Err(RunnerError::TierDrift { step, drift });
-            }
-        }
         Ok(())
     }
 
@@ -365,10 +312,7 @@ impl<'p> TrainRunner<'p> {
     /// cannot be loaded or written, and [`RunnerError::SimulatedKill`]
     /// when the fault plan's kill fires.
     pub fn run<T: Trainable>(&self, trainer: &mut T) -> Result<RunnerReport, RunnerError> {
-        let mut report = RunnerReport {
-            tier: self.rt.tier().label().to_string(),
-            ..RunnerReport::default()
-        };
+        let mut report = RunnerReport::default();
         if self.opts.resume {
             if let Some(path) = &self.opts.checkpoint_path {
                 if path.exists() {

@@ -35,8 +35,8 @@
 //!
 //! A streamed evaluation must equal the buffered oracle bit for bit —
 //! PWC, CWC, victim rate and every per-frame detection — at any thread
-//! count, on both execution tiers and on noiseless and noise-bearing
-//! capture channels (the crate's unit tests hold it). Three invariants
+//! count and on noiseless and noise-bearing capture channels (the
+//! crate's unit tests hold it). Three invariants
 //! carry it:
 //!
 //! 1. **Same groups**: the chunk size equals the buffered path's batch
@@ -310,7 +310,8 @@ pub struct FleetConfig {
     pub jobs: usize,
     /// Worker-thread budget per job runtime (0 = auto).
     pub threads_per_job: usize,
-    /// Execution tier every job starts on.
+    /// Inert: nothing reads it. It stays only until the next benchmark
+    /// change removes it from perfbench, which reads it.
     pub tier: Tier,
     /// Per-job wall-clock deadline (None = unbounded).
     pub deadline: Option<Duration>,
@@ -320,8 +321,8 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet of `drives` drives over `jobs` jobs, serial per-job
-    /// runtimes (the jobs themselves are the parallelism), reference
-    /// tier, no deadline, no retries.
+    /// runtimes (the jobs themselves are the parallelism), no deadline,
+    /// no retries.
     pub fn new(drives: usize, jobs: usize) -> Self {
         FleetConfig {
             drives,
@@ -382,7 +383,6 @@ pub fn eval_fleet(
             let hi = fleet.drives * (j + 1) / fleet.jobs;
             let mut spec = JobSpec::new(&format!("eval-fleet-{j}"))
                 .threads(fleet.threads_per_job)
-                .tier(fleet.tier)
                 .max_retries(fleet.max_retries);
             if let Some(d) = fleet.deadline {
                 spec = spec.deadline(d);
@@ -414,7 +414,6 @@ pub fn eval_fleet(
                 }
                 Ok(RunnerReport {
                     steps_run: drives_done,
-                    tier: ctx.tier.label().to_string(),
                     ..RunnerReport::default()
                 })
             };

@@ -1,21 +1,21 @@
-//! Supervised job execution: panic isolation, deadlines, retry with
-//! capped-exponential backoff, and graceful fast-tier degradation.
+//! Supervised job execution: panic isolation, deadlines, and retry with
+//! capped-exponential backoff.
 //!
 //! A *job* is any closure that drives a training run to completion
 //! under a [`crate::runner::TrainRunner`] — the attack loop, the
 //! detector trainer, a challenge evaluation. The supervisor runs each
 //! job inside its own fresh [`Runtime`], so N concurrent jobs in one
-//! process are fully isolated: separate thread budgets, scratch arenas,
-//! profiler registries and tiers. Containment is the contract the
+//! process are fully isolated: separate thread budgets, scratch arenas
+//! and profiler registries. Containment is the contract the
 //! fault-matrix test enforces — a sabotaged job (panic, stall past its
-//! deadline, NaN storm, corrupted checkpoint, tier drift) must leave
-//! its siblings bitwise-identical to their solo runs.
+//! deadline, NaN storm, corrupted checkpoint) must leave its siblings
+//! bitwise-identical to their solo runs.
 //!
 //! Per attempt, the supervisor:
 //!
-//! 1. builds a **fresh** [`Runtime`] from the [`JobSpec`] (threads +
-//!    current tier), arms it with the job's remaining deadline, and
-//!    hands it to the job via [`JobCtx`];
+//! 1. builds a **fresh** [`Runtime`] from the [`JobSpec`]'s thread
+//!    budget, arms it with the job's remaining deadline, and hands it
+//!    to the job via [`JobCtx`];
 //! 2. runs the job under `catch_unwind`. A panicking attempt's runtime
 //!    is [quarantined](Runtime::quarantine) — its arena never pools
 //!    again, so buffers that were in flight when the job died cannot be
@@ -23,13 +23,9 @@
 //! 3. classifies the result: a [`CancelUnwind`] payload or
 //!    [`RunnerError::Cancelled`] carrying
 //!    [`Cancelled::DeadlineExceeded`] ends the job as
-//!    [`JobOutcome::DeadlineExceeded`]; [`RunnerError::TierDrift`] on a
-//!    fast-tier job demotes it to [`Tier::Reference`] and retries
-//!    immediately (resuming from the last checkpoint — demotion is
-//!    recorded in the [`JobReport`], and does not consume a retry); a
-//!    crash, simulated kill or unreadable checkpoint retries after a
-//!    capped-exponential backoff until [`JobSpec::max_retries`] is
-//!    exhausted.
+//!    [`JobOutcome::DeadlineExceeded`]; a crash, simulated kill or
+//!    unreadable checkpoint retries after a capped-exponential backoff
+//!    until [`JobSpec::max_retries`] is exhausted.
 //!
 //! Retries ride the runner's checkpoint-resume: a job whose spec names
 //! a [`JobSpec::checkpoint_path`] and whose closure passes `resume =
@@ -45,7 +41,6 @@ use std::time::{Duration, Instant};
 use rd_tensor::runtime::CancelUnwind;
 use rd_tensor::{Cancelled, Runtime, RuntimeConfig, Tier};
 
-use crate::fault::TierDriftInfo;
 use crate::runner::{RunnerError, RunnerReport};
 
 /// Per-job policy: identity, runtime shape, deadline and retry budget.
@@ -55,15 +50,11 @@ pub struct JobSpec {
     pub name: String,
     /// Worker-thread budget of the job's runtime (0 = auto).
     pub threads: usize,
-    /// Execution tier the job starts on (a drifting fast-tier job is
-    /// demoted to [`Tier::Reference`] mid-flight).
-    pub tier: Tier,
     /// Wall-clock budget for the *whole job* (all attempts plus
     /// backoff); `None` = unbounded. Enforced cooperatively via the
     /// runtime's deadline, checked at step/frame boundaries.
     pub deadline: Option<Duration>,
-    /// Crash/kill retries after the first attempt (tier demotions are
-    /// free and do not consume this budget).
+    /// Crash/kill retries after the first attempt.
     pub max_retries: u32,
     /// First retry backoff; doubles per retry.
     pub backoff_base: Duration,
@@ -76,13 +67,12 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A spec with conservative defaults: auto threads, reference tier,
-    /// no deadline, 2 retries, 50ms..2s backoff, no checkpoint file.
+    /// A spec with conservative defaults: auto threads, no deadline, 2
+    /// retries, 50ms..2s backoff, no checkpoint file.
     pub fn new(name: &str) -> Self {
         JobSpec {
             name: name.to_string(),
             threads: 0,
-            tier: Tier::Reference,
             deadline: None,
             max_retries: 2,
             backoff_base: Duration::from_millis(50),
@@ -97,9 +87,9 @@ impl JobSpec {
         self
     }
 
-    /// Sets the starting execution tier.
-    pub fn tier(mut self, t: Tier) -> Self {
-        self.tier = t;
+    /// Inert: returns the spec unchanged. It stays only until the next
+    /// benchmark change removes it from perfbench.
+    pub fn tier(self, _: Tier) -> Self {
         self
     }
 
@@ -129,17 +119,14 @@ impl JobSpec {
     }
 }
 
-/// What one attempt sees: the fresh runtime built for it, the attempt
-/// ordinal (0 = first), and the tier the attempt runs on (differs from
-/// [`JobSpec::tier`] after a demotion).
+/// What one attempt sees: the fresh runtime built for it and the
+/// attempt ordinal (0 = first).
 #[derive(Debug)]
 pub struct JobCtx {
     /// Runtime for this attempt; bind trainers and runners to it.
     pub rt: Runtime,
-    /// 0-based attempt counter across retries and demotions.
+    /// 0-based attempt counter across retries.
     pub attempt: u32,
-    /// Tier this attempt executes on.
-    pub tier: Tier,
 }
 
 /// Terminal state of a supervised job.
@@ -154,32 +141,17 @@ pub enum JobOutcome {
     Failed(String),
 }
 
-/// A recorded fast→reference demotion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TierDemotion {
-    /// Step the drift was detected at.
-    pub step: u64,
-    /// Offending head plus observed/bound ulps.
-    pub drift: TierDriftInfo,
-    /// Tier the job was running on (always [`Tier::Fast`] today).
-    pub from: Tier,
-    /// Tier the job resumed on.
-    pub to: Tier,
-}
-
 /// Everything a supervised job went through, for logs and assertions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// The spec's job name.
     pub name: String,
-    /// Attempts launched (first run + retries + demotion resumes).
+    /// Attempts launched (first run + retries).
     pub attempts: u32,
     /// Terminal state.
     pub outcome: JobOutcome,
     /// The successful attempt's runner report, when one finished.
     pub runner: Option<RunnerReport>,
-    /// The fast→reference demotion, if the tier guard fired.
-    pub demotion: Option<TierDemotion>,
     /// Runtimes quarantined after panicking attempts.
     pub quarantined: u32,
     /// Panic messages of crashed attempts, in order.
@@ -210,10 +182,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 enum AttemptEnd {
     Finished(RunnerReport),
     Deadline,
-    Demote {
-        step: u64,
-        drift: TierDriftInfo,
-    },
     /// Retryable failure: crash, kill, bad checkpoint.
     Retry {
         why: String,
@@ -235,12 +203,10 @@ where
         attempts: 0,
         outcome: JobOutcome::Failed("never attempted".to_string()),
         runner: None,
-        demotion: None,
         quarantined: 0,
         panics: Vec::new(),
         backoff_slept: Duration::ZERO,
     };
-    let mut tier = spec.tier;
     let mut retries_left = spec.max_retries;
 
     loop {
@@ -251,14 +217,12 @@ where
         }
         let rt = Runtime::new(RuntimeConfig {
             threads: spec.threads,
-            tier,
-            profiling: false,
+            ..RuntimeConfig::default()
         });
         rt.set_deadline(remaining);
         let ctx = JobCtx {
             rt: rt.clone(),
             attempt: report.attempts,
-            tier,
         };
         report.attempts += 1;
         let result = catch_unwind(AssertUnwindSafe(|| rt.enter(|| job(&ctx))));
@@ -268,7 +232,6 @@ where
                 Cancelled::DeadlineExceeded => AttemptEnd::Deadline,
                 Cancelled::Requested => AttemptEnd::Fatal(format!("cancelled at step {step}")),
             },
-            Ok(Err(RunnerError::TierDrift { step, drift })) => AttemptEnd::Demote { step, drift },
             Ok(Err(e @ RunnerError::Checkpoint(_))) => {
                 // Corrupt or unreadable checkpoint: delete it so the
                 // retry restarts clean instead of re-reading poison.
@@ -313,34 +276,6 @@ where
             AttemptEnd::Fatal(why) => {
                 report.outcome = JobOutcome::Failed(why);
                 return report;
-            }
-            AttemptEnd::Demote { step, drift } => {
-                if tier != Tier::Fast {
-                    report.outcome = JobOutcome::Failed(format!(
-                        "tier drift reported on the {} tier at step {step} \
-                         ({} observed {} ulp > bound {} ulp)",
-                        tier.label(),
-                        drift.head,
-                        drift.observed_ulp,
-                        drift.bound_ulp
-                    ));
-                    return report;
-                }
-                eprintln!(
-                    "[supervisor] {}: fast tier drifted at step {step} \
-                     ({} observed {} ulp > bound {} ulp); demoting to \
-                     reference and resuming from last checkpoint",
-                    spec.name, drift.head, drift.observed_ulp, drift.bound_ulp
-                );
-                report.demotion = Some(TierDemotion {
-                    step,
-                    drift,
-                    from: tier,
-                    to: Tier::Reference,
-                });
-                tier = Tier::Reference;
-                // Demotion is not a crash: resume immediately, no
-                // backoff, no retry consumed.
             }
             AttemptEnd::Retry { why, panicked } => {
                 if panicked {
@@ -415,13 +350,11 @@ mod tests {
         let spec = JobSpec::new("healthy");
         let report = run_job(&spec, |ctx| {
             assert_eq!(ctx.attempt, 0);
-            assert_eq!(ctx.tier, Tier::Reference);
             Ok(ok_report())
         });
         assert!(report.finished());
         assert_eq!(report.attempts, 1);
         assert_eq!(report.quarantined, 0);
-        assert!(report.demotion.is_none());
     }
 
     #[test]
@@ -492,34 +425,6 @@ mod tests {
         assert_eq!(report.outcome, JobOutcome::DeadlineExceeded);
         assert_eq!(report.quarantined, 0, "a deadline unwind is not a crash");
         assert!(report.panics.is_empty());
-    }
-
-    #[test]
-    fn tier_drift_demotes_to_reference_and_resumes() {
-        let spec = JobSpec::new("drifty").tier(Tier::Fast).max_retries(0);
-        let report = run_job(&spec, |ctx| {
-            if ctx.attempt == 0 {
-                assert_eq!(ctx.tier, Tier::Fast);
-                return Err(RunnerError::TierDrift {
-                    step: 4,
-                    drift: TierDriftInfo {
-                        head: "head/coarse".to_string(),
-                        observed_ulp: 9001,
-                        bound_ulp: 4096,
-                    },
-                });
-            }
-            assert_eq!(ctx.tier, Tier::Reference, "resumed on the reference tier");
-            assert_eq!(ctx.rt.tier(), Tier::Reference);
-            Ok(ok_report())
-        });
-        assert!(report.finished());
-        assert_eq!(report.attempts, 2);
-        let demo = report.demotion.expect("demotion recorded");
-        assert_eq!(demo.step, 4);
-        assert_eq!(demo.drift.head, "head/coarse");
-        assert_eq!(demo.drift.observed_ulp, 9001);
-        assert_eq!((demo.from, demo.to), (Tier::Fast, Tier::Reference));
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! integration): the metrics must respond to the scene the way the
 //! paper's protocol assumes.
 
+use rd_detector::map::mean_average_precision;
+use rd_detector::postprocess;
+use rd_scene::dataset::{generate, DatasetConfig};
 use rd_scene::{CameraRig, ObjectClass, PhysicalChannel, RotationSetting, Speed};
 use rd_vision::shapes::{mask, Shape};
-use rd_vision::Plane;
+use rd_vision::{Image, Plane};
 
 use road_decals::attack::{deploy, Deployment};
 use road_decals::decal::Decal;
@@ -19,6 +22,54 @@ fn black_star_decals(scenario: &AttackScenario) -> Deployment {
         Shape::Star,
     );
     deploy(&d, scenario)
+}
+
+/// The committed smoke detector must detect something: objects on
+/// labelled frames (a positive mAP@0.5 and at least one detection at
+/// the evaluation's confidence and NMS thresholds) and the victim on a
+/// star-decal drive. Every PWC/CWC figure measured with this detector
+/// would be vacuous without it.
+#[test]
+fn committed_smoke_detector_detects() {
+    const CONF: f32 = 0.35;
+    const NMS_IOU: f32 = 0.45;
+    let env = prepare_environment(Scale::Smoke, 42);
+    let nc = env.detector.config().num_classes;
+    let frames = generate(&DatasetConfig {
+        rig: CameraRig::smoke(),
+        n_images: 32,
+        seed: 11,
+        augment: false,
+    });
+    let mut labelled = Vec::with_capacity(frames.len());
+    for chunk in frames.chunks(16) {
+        let images: Vec<_> = chunk.iter().map(|s| s.image.clone()).collect();
+        let (coarse, fine) = env
+            .detector
+            .infer(&env.params, &Image::batch_to_tensor(&images));
+        let dets = postprocess(&coarse, &fine, nc, CONF, NMS_IOU);
+        labelled.extend(dets.into_iter().zip(chunk.iter().map(|s| s.boxes.clone())));
+    }
+    let detections: usize = labelled.iter().map(|(d, _)| d.len()).sum();
+    let map = mean_average_precision(&labelled, 0.5);
+    assert!(map > 0.0, "mAP {map} on the committed smoke detector");
+    assert!(detections > 0, "no detections at conf {CONF}");
+
+    let scenario = AttackScenario::parking_lot(CameraRig::smoke(), 4, 60, 16, 42);
+    let drive = evaluate_challenge(
+        &scenario,
+        &black_star_decals(&scenario),
+        &env.detector,
+        &env.params,
+        ObjectClass::Bicycle,
+        Challenge::Rotation(RotationSetting::Slight),
+        &EvalConfig {
+            rotation_frames: 40,
+            runs: 2,
+            ..EvalConfig::smoke(7)
+        },
+    );
+    assert!(drive.victim_detected > 0.0, "{drive:?}");
 }
 
 #[test]

@@ -91,7 +91,7 @@ pub struct DetectorTrainer<'a> {
     ps: &'a mut ParamSet,
     data: &'a [Sample],
     /// Runtime every step re-enters, so concurrent trainers keep their
-    /// arena traffic, thread budgets and tiers apart.
+    /// arena traffic and thread budgets apart.
     rt: Runtime,
     cfg: TrainConfig,
     rng: StdRng,

@@ -66,8 +66,8 @@ pub(crate) fn gemm_fixed<const N: usize>(
     }
 }
 
-/// The conv forward GEMM `out = a × b` of the tape and of both tiers'
-/// reference plans: [`crate::simd::exact_gemm`], which runs the AVX2
+/// The conv forward GEMM `out = a × b` of the tape and of both
+/// compiled plans: [`crate::simd::exact_gemm`], which runs the AVX2
 /// kernel or [`conv_gemm_scalar`], bitwise identical to each other.
 /// `out` need not be zeroed.
 pub(crate) fn conv_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {

@@ -36,15 +36,6 @@
 //! partitioning only decides *which thread* computes a sample, not the
 //! sample's arithmetic, so results are identical at any thread count —
 //! and `batched(N)` trivially equals `N` batch-1 calls.
-//!
-//! ## Execution tiers
-//!
-//! The bitwise contract above describes [`Tier::Reference`], the
-//! default. When the current runtime runs [`Tier::Fast`]
-//! ([`crate::RuntimeConfig::tier`]), the executor routes conv GEMMs and fused epilogues through the
-//! [`crate::simd`] f32x8 kernels instead; outputs may then diverge
-//! from the tape, but only within the static per-head ulp certificate
-//! computed by `rd_analysis::bounds` for the `f32x8-fma` kernel model.
 
 use std::sync::Mutex;
 
@@ -53,13 +44,10 @@ use crate::conv::{conv_gemm, im2col};
 use crate::graph::{Graph, VarId};
 use crate::parallel;
 use crate::params::ParamSet;
-use crate::plan::{self, OpKind, Plan};
+use crate::plan::{self, Act, OpKind, Plan};
 use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
 use crate::profile;
-use crate::runtime;
-use crate::simd::{self, Act};
 use crate::tensor::{matmul_into, Tensor};
-use crate::tier::Tier;
 
 /// A compiled, grad-free execution plan: the shared `crate::plan`
 /// lowering of a shape-only trace, executed per sample.
@@ -113,16 +101,8 @@ impl InferPlan {
         InferExec::new(self).run(ps, input)
     }
 
-    /// Runs one sample already copied into `bufs`' input slot. `fast`
-    /// routes conv GEMMs and epilogues through the [`crate::simd`]
-    /// kernels.
-    fn exec_sample(
-        &self,
-        ps: &ParamSet,
-        derived: &[Option<Vec<f32>>],
-        bufs: &mut GroupBufs,
-        fast: bool,
-    ) {
+    /// Runs one sample already copied into `bufs`' input slot.
+    fn exec_sample(&self, ps: &ParamSet, derived: &[Option<Vec<f32>>], bufs: &mut GroupBufs) {
         for (oi, op) in self.ir.ops.iter().enumerate() {
             let t0 = profile::enabled().then(std::time::Instant::now);
             match &op.kind {
@@ -156,25 +136,14 @@ impl InferPlan {
                         wo,
                         &mut cols[..ckk * howo],
                     );
-                    if fast {
-                        simd::gemm(
-                            ps.get(c.w).value().data(),
-                            &cols[..ckk * howo],
-                            &mut out,
-                            cout,
-                            ckk,
-                            howo,
-                        );
-                    } else {
-                        conv_gemm(
-                            ps.get(c.w).value().data(),
-                            &cols[..ckk * howo],
-                            &mut out,
-                            cout,
-                            ckk,
-                            howo,
-                        );
-                    }
+                    conv_gemm(
+                        ps.get(c.w).value().data(),
+                        &cols[..ckk * howo],
+                        &mut out,
+                        cout,
+                        ckk,
+                        howo,
+                    );
                     if let Some(b) = c.bias {
                         let bv = ps.get(b).value().data();
                         for ch in 0..cout {
@@ -195,10 +164,6 @@ impl InferPlan {
                             let scale = gv[ch] * ivstd;
                             let shift = bev[ch] - rm[ch] * scale;
                             let seg = &mut out[ch * howo..(ch + 1) * howo];
-                            if fast {
-                                simd::affine_act(seg, scale, shift, c.act);
-                                continue;
-                            }
                             match c.act {
                                 Act::Leaky(alpha) => {
                                     for v in seg {
@@ -219,8 +184,6 @@ impl InferPlan {
                                 }
                             }
                         }
-                    } else if fast {
-                        simd::act_inplace(&mut out, c.act);
                     } else {
                         match c.act {
                             Act::Leaky(alpha) => {
@@ -254,36 +217,29 @@ impl InferPlan {
                     let mut o = std::mem::take(&mut bufs.slots[*out]);
                     let xs = &bufs.slots[*x];
                     let (hw, howo) = (h * w, ho * wo);
-                    if fast && *k == 2 && *stride == 2 && h.is_multiple_of(2) && w.is_multiple_of(2)
-                    {
-                        // max performs no rounding: bitwise-identical
-                        // to the loop below on non-NaN data
-                        simd::max_pool2x2(xs, &mut o, *c, *h, *w);
-                    } else {
-                        for ch in 0..*c {
-                            let xoff = ch * hw;
-                            let oplane = &mut o[ch * howo..(ch + 1) * howo];
-                            for oh in 0..*ho {
-                                for ow in 0..*wo {
-                                    let mut best = f32::NEG_INFINITY;
-                                    for ki in 0..*k {
-                                        let ih = oh * stride + ki;
-                                        if ih >= *h {
+                    for ch in 0..*c {
+                        let xoff = ch * hw;
+                        let oplane = &mut o[ch * howo..(ch + 1) * howo];
+                        for oh in 0..*ho {
+                            for ow in 0..*wo {
+                                let mut best = f32::NEG_INFINITY;
+                                for ki in 0..*k {
+                                    let ih = oh * stride + ki;
+                                    if ih >= *h {
+                                        continue;
+                                    }
+                                    for kj in 0..*k {
+                                        let iw = ow * stride + kj;
+                                        if iw >= *w {
                                             continue;
                                         }
-                                        for kj in 0..*k {
-                                            let iw = ow * stride + kj;
-                                            if iw >= *w {
-                                                continue;
-                                            }
-                                            let v = xs[xoff + ih * w + iw];
-                                            if v > best {
-                                                best = v;
-                                            }
+                                        let v = xs[xoff + ih * w + iw];
+                                        if v > best {
+                                            best = v;
                                         }
                                     }
-                                    oplane[oh * wo + ow] = best;
                                 }
+                                oplane[oh * wo + ow] = best;
                             }
                         }
                     }
@@ -410,7 +366,6 @@ impl<'p> InferExec<'p> {
         );
         let n = input.shape()[0];
         assert!(n > 0, "infer batch must be non-empty");
-        let fast = runtime::current().tier() == Tier::Fast;
         let groups = parallel::groups_for(n);
         while self.groups.len() < groups {
             self.groups.push(GroupBufs::new(ir));
@@ -478,7 +433,7 @@ impl<'p> InferExec<'p> {
             for li in 0..counts[gi] {
                 let ni = start + li;
                 bufs.slots[ir.input_slot].copy_from_slice(&xin[ni * in_len..(ni + 1) * in_len]);
-                plan.exec_sample(ps, &derived, bufs, fast);
+                plan.exec_sample(ps, &derived, bufs);
                 for (oi, &slot) in ir.outputs.iter().enumerate() {
                     let olen = ir.slot_lens[slot];
                     ochunks[oi][li * olen..(li + 1) * olen]

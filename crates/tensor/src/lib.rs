@@ -28,9 +28,8 @@
 //!   forward+backward.
 //! * [`check`] — numerical gradient checking used across the workspace.
 //! * [`runtime`] — instance-scoped execution contexts ([`Runtime`]):
-//!   each bundles a worker-thread budget and execution tier, both fixed
-//!   when it is built, with a scratch arena, profiler registry and
-//!   cancellation state. The free functions in [`parallel`] /
+//!   each bundles a worker-thread budget, fixed when it is built, with
+//!   a scratch arena, profiler registry and cancellation state. The free functions in [`parallel`] /
 //!   [`arena`] / [`profile`] act on the runtime current at the call
 //!   site (a lazily created process default outside any
 //!   [`Runtime::enter`] scope), so supervisors can run isolated
@@ -84,7 +83,6 @@ pub mod shape;
 pub mod simd;
 mod smallvec;
 mod tensor;
-pub mod tier;
 pub mod train_plan;
 
 pub use bnorm::{fold_running_stats, BatchStats};
@@ -93,8 +91,7 @@ pub use infer::InferPlan;
 pub use linmap::{LinearMap, WarpEntry};
 pub use params::{Param, ParamId, ParamSet};
 pub use plan_meta::{ConvGeom, ParamRef, ParamRole, PlanKind, PlanMeta, PlanOpMeta, SlotMeta};
-pub use runtime::{Cancelled, Runtime, RuntimeConfig};
+pub use runtime::{Cancelled, Runtime, RuntimeConfig, Tier};
 pub use smallvec::SmallVec;
 pub use tensor::Tensor;
-pub use tier::Tier;
 pub use train_plan::{TrainPlan, TrainStep};

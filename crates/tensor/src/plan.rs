@@ -33,7 +33,17 @@
 use crate::graph::{Graph, VarId};
 use crate::params::ParamId;
 use crate::plan_meta::{ConvGeom, ParamRef, ParamRole, PlanKind, PlanMeta, PlanOpMeta, SlotMeta};
-use crate::simd::Act;
+
+/// Activation a fused conv applies after its bias or batch norm.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Act {
+    /// No activation.
+    None,
+    /// `t > 0 ? t : α·t`.
+    Leaky(f32),
+    /// `max(t, 0)`.
+    Relu,
+}
 
 /// Batch-norm stage of a fused conv.
 #[derive(Debug, Clone)]

@@ -1,17 +1,16 @@
 //! Instance-scoped execution runtime: worker-pool budget, scratch
-//! arena, profiler registry, execution tier and cancellation state
-//! bundled into one caller-owned handle.
+//! arena, profiler registry and cancellation state bundled into one
+//! caller-owned handle.
 //!
-//! Before this module existed, [`crate::parallel`], [`crate::arena`],
-//! [`crate::profile`] and [`crate::tier`] were process-global
-//! singletons: one process could run exactly one training/eval job, and
-//! any job's panic poisoned the arena free list (and its thread-budget
-//! or tier changes leaked into every other caller) for the whole
-//! process. A [`Runtime`] owns all four pieces of state, so
-//! independent jobs in one process are fully isolated: each gets its
-//! own thread budget, its own buffer pool, its own profiler and its own
-//! tier, and a panicked job's runtime can be quarantined and discarded
-//! without touching anyone else's.
+//! Before this module existed, [`crate::parallel`], [`crate::arena`]
+//! and [`crate::profile`] were process-global singletons: one process
+//! could run exactly one training/eval job, and any job's panic
+//! poisoned the arena free list (and its thread-budget changes leaked
+//! into every other caller) for the whole process. A [`Runtime`] owns
+//! all of that state, so independent jobs in one process are fully
+//! isolated: each gets its own thread budget, its own buffer pool and
+//! its own profiler, and a panicked job's runtime can be quarantined
+//! and discarded without touching anyone else's.
 //!
 //! # Ownership model
 //!
@@ -19,11 +18,10 @@
 //!   *caller* owns it and threads it into trainers (their
 //!   `with_runtime` builders) and the supervisor in `road_decals`, or
 //!   enters it around plain calls.
-//! * Its thread budget and tier are fixed by the [`RuntimeConfig`] it
-//!   is built from. Code running under a runtime reads them
-//!   ([`Runtime::threads_requested`], [`Runtime::tier`]) but cannot
-//!   change them: a job that needs another budget or tier builds and
-//!   enters a runtime of its own.
+//! * Its thread budget is fixed by the [`RuntimeConfig`] it is built
+//!   from. Code running under a runtime reads it
+//!   ([`Runtime::threads_requested`]) but cannot change it: a job that
+//!   needs another budget builds and enters a runtime of its own.
 //! * [`Runtime::enter`] installs the handle as the calling thread's
 //!   *current* runtime for the duration of a closure (re-entrant, and
 //!   restored on unwind). Kernels and the arena always consult the
@@ -69,14 +67,35 @@ use std::time::{Duration, Instant};
 
 use crate::arena::ArenaState;
 use crate::profile::ProfilerState;
-use crate::tier::Tier;
+
+/// The workspace's one numeric contract: the tape, the compiled plans
+/// and the GAN all run the exact kernels, bitwise identical to the tape
+/// on both SIMD backends. Nothing reads this type; it stays, with
+/// [`RuntimeConfig::tier`], only until the next benchmark change
+/// removes it from perfbench, whose manifest prints [`Tier::label`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// The exact kernels.
+    Reference,
+}
+
+impl Tier {
+    /// Stable label used in reports and bench JSON.
+    pub fn label(self) -> &'static str {
+        match self {
+            Tier::Reference => "reference",
+        }
+    }
+}
 
 /// Construction-time knobs for a [`Runtime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Worker-thread budget: 0 = auto (host parallelism), 1 = serial.
     pub threads: usize,
-    /// Execution tier for compiled plans run under this runtime.
+    /// Inert: nothing reads it. It stays only until the next benchmark
+    /// change removes it from perfbench, which builds this struct as a
+    /// literal.
     pub tier: Tier,
     /// Whether the per-op profiler starts enabled.
     pub profiling: bool,
@@ -123,7 +142,6 @@ pub(crate) struct RuntimeInner {
     /// Requested worker budget (0 = auto); effective budget is clamped
     /// to the host in [`crate::parallel::max_threads`].
     threads: usize,
-    tier: Tier,
     quarantined: AtomicBool,
     cancelled: AtomicBool,
     /// Cooperative deadline; `None` means no deadline.
@@ -133,7 +151,7 @@ pub(crate) struct RuntimeInner {
 }
 
 /// A caller-owned execution context: worker-pool budget, scratch arena,
-/// profiler, tier and cancellation state. Cloning is cheap and shares
+/// profiler and cancellation state. Cloning is cheap and shares
 /// the same underlying state.
 #[derive(Clone)]
 pub struct Runtime {
@@ -210,7 +228,6 @@ impl Runtime {
             inner: Arc::new(RuntimeInner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 threads: cfg.threads,
-                tier: cfg.tier,
                 quarantined: AtomicBool::new(false),
                 cancelled: AtomicBool::new(false),
                 deadline: Mutex::new(None),
@@ -252,11 +269,6 @@ impl Runtime {
     /// before the host clamp in [`crate::parallel::max_threads`].
     pub fn threads_requested(&self) -> usize {
         self.inner.threads
-    }
-
-    /// The execution tier compiled plans run with under this runtime.
-    pub fn tier(&self) -> Tier {
-        self.inner.tier
     }
 
     // -------------------------------------------------------- quarantine
@@ -329,7 +341,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("id", &self.id())
             .field("threads_requested", &self.threads_requested())
-            .field("tier", &self.tier().label())
             .field("quarantined", &self.is_quarantined())
             .finish()
     }
@@ -340,19 +351,26 @@ mod tests {
     use super::*;
 
     #[test]
+    fn tier_labels_are_stable() {
+        assert_eq!(Tier::Reference.label(), "reference");
+    }
+
+    #[test]
     fn enter_scopes_nest_and_restore() {
         let a = Runtime::new(RuntimeConfig::default());
         let b = Runtime::new(RuntimeConfig {
-            tier: Tier::Fast,
+            threads: 3,
             ..RuntimeConfig::default()
         });
         a.enter(|| {
             assert!(current().same_as(&a));
+            assert_eq!(current().threads_requested(), 0);
             b.enter(|| {
                 assert!(current().same_as(&b));
-                assert_eq!(current().tier(), Tier::Fast);
+                assert_eq!(current().threads_requested(), 3);
             });
             assert!(current().same_as(&a));
+            assert_eq!(current().threads_requested(), 0);
         });
         assert!(current().same_as(&default_runtime()));
     }

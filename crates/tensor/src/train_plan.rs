@@ -42,16 +42,6 @@
 //! compiled-vs-tape identity and 1-vs-N-thread determinism both hold
 //! bit for bit (asserted in `rd-detector`'s `train_compiled` tests and
 //! in `road-decals`' compiled attack test).
-//!
-//! ## Execution tiers
-//!
-//! The bitwise contract above is [`crate::tier::Tier::Reference`], the
-//! default. Under [`crate::tier::Tier::Fast`] the three conv GEMMs
-//! (forward, grad-weight, grad-input) and the standalone leaky
-//! epilogue route through the [`crate::simd`] f32x8 kernels instead,
-//! trading bitwise tape identity for the certified-ulp contract. A
-//! [`TrainStep`] runs its backward on the runtime of its forward, so
-//! both use the same tier.
 
 use std::sync::Mutex;
 
@@ -63,14 +53,12 @@ use crate::bnorm::{
 use crate::conv::{col2im, conv_gemm, gemm_nt, gemm_tn_over, im2col};
 use crate::graph::{Graph, VarId};
 use crate::params::{ParamId, ParamSet};
-use crate::plan::{self, Conv, OpKind, Plan};
+use crate::plan::{self, Act, Conv, OpKind, Plan};
 use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
 use crate::pool::{max_pool_backward, max_pool_forward, upsample2x_backward, upsample2x_forward};
 use crate::profile;
 use crate::runtime::{self, Runtime};
-use crate::simd::{self, Act};
 use crate::tensor::Tensor;
-use crate::tier::Tier;
 
 /// Default im2col column-cache budget: 256 MiB of activation memory.
 pub const DEFAULT_COL_BUDGET: usize = 256 << 20;
@@ -159,7 +147,6 @@ impl TrainPlan {
         let n = input.shape()[0];
         assert!(n > 0, "train batch must be non-empty");
         let rt = runtime::current();
-        let fast = rt.tier() == Tier::Fast;
 
         let mut vals: Vec<Vec<f32>> = self
             .ir
@@ -276,11 +263,7 @@ impl TrainPlan {
                                     wo,
                                     cols,
                                 );
-                                if fast {
-                                    simd::gemm(wd_flat, cols, oslice, o, ckk, howo);
-                                } else {
-                                    conv_gemm(wd_flat, cols, oslice, o, ckk, howo);
-                                }
+                                conv_gemm(wd_flat, cols, oslice, o, ckk, howo);
                             }
                         });
                     }
@@ -334,13 +317,9 @@ impl TrainPlan {
                         }
                     }
                     if let Act::Leaky(alpha) = c.act {
-                        if fast {
-                            simd::act_inplace(&mut out, simd::Act::Leaky(alpha));
-                        } else {
-                            for v in out.iter_mut() {
-                                let t = *v;
-                                *v = if t > 0.0 { t } else { alpha * t };
-                            }
+                        for v in out.iter_mut() {
+                            let t = *v;
+                            *v = if t > 0.0 { t } else { alpha * t };
                         }
                     }
                     vals[c.out] = out;
@@ -726,7 +705,6 @@ impl TrainStep<'_> {
             let xd = &self.vals[c.x];
             let cache: Option<&[f32]> = self.cols_cache[oi].as_deref();
             let need_pg = self.need_param_grads;
-            let fast = self.rt.tier() == Tier::Fast;
             let mut gx_tmp: Option<Vec<f32>> =
                 (compute_gx && !c.gx_direct).then(|| arena::take(n * in_len));
             let gw_partials: Vec<Option<Vec<f32>>> = {
@@ -786,19 +764,11 @@ impl TrainStep<'_> {
                                     &sc[..]
                                 }
                             };
-                            if fast {
-                                simd::gemm_nt_acc(gslice, cols, gw, o, howo, ckk);
-                            } else {
-                                gemm_nt(gslice, cols, gw, o, howo, ckk);
-                            }
+                            gemm_nt(gslice, cols, gw, o, howo, ckk);
                         }
                         if let Some(gx_chunk) = gx_chunk.as_deref_mut() {
                             let gc = gcols.as_mut().expect("gcols gated above");
-                            if fast {
-                                simd::gemm_tn_over(wd_flat, gslice, &mut gc[..], o, ckk, howo);
-                            } else {
-                                gemm_tn_over(wd_flat, gslice, &mut gc[..], o, ckk, howo);
-                            }
+                            gemm_tn_over(wd_flat, gslice, &mut gc[..], o, ckk, howo);
                             col2im(
                                 &gc[..],
                                 cin,

@@ -21,7 +21,7 @@ use road_decals_repro::detector::{TinyYolo, TrainConfig, YoloConfig};
 use road_decals_repro::scene::dataset::{generate, DatasetConfig};
 use road_decals_repro::scene::CameraRig;
 use road_decals_repro::tensor::io::{encode_checkpoint, load_checkpoint_file, CheckpointError};
-use road_decals_repro::tensor::{ParamSet, Runtime, RuntimeConfig, Tier};
+use road_decals_repro::tensor::{ParamSet, Runtime, RuntimeConfig};
 
 /// Runs `f` inside a private [`Runtime`] capped at `n` worker threads.
 /// Thread budgets are per-runtime now, so tests at different counts run
@@ -152,28 +152,22 @@ fn attack_resume_determinism_smoke_20_steps() {
     with_threads(0, || assert_kill_resume_bitwise(20, 5, 10, "attack_ci20"));
 }
 
-// ------------------------------------------------------ tier degradation
+// ------------------------------------------------- checkpoint round trip
 
-/// Satellite of the supervisor work: a fast-tier run killed mid-job
-/// resumes on the *reference* tier. The checkpoint restore is bitwise
-/// (the encoded state round-trips exactly across the tier change), the
-/// finishing run reports the tier it actually executed on, and the
-/// cross-tier resume is deterministic.
+/// A run killed mid-job leaves a checkpoint that a fresh trainer
+/// restores and re-encodes byte for byte, and resuming from it twice
+/// finishes bitwise-identically both times.
 #[test]
-fn fast_tier_kill_resumes_on_reference_tier() {
-    let path = tmp_ck("tier_resume");
+fn kill_resume_checkpoint_round_trips_bitwise() {
+    let path = tmp_ck("round_trip");
     let opts = RecoveryOptions {
         checkpoint_every: 2,
         checkpoint_path: Some(path.clone()),
         ..RecoveryOptions::default()
     };
-    let fast = Runtime::new(RuntimeConfig {
-        tier: Tier::Fast,
-        ..RuntimeConfig::default()
-    });
 
-    // leg 1: fast tier, killed at step 4 (last checkpoint = step-4 state)
-    fast.enter(|| {
+    // leg 1: killed at step 4 (last checkpoint = step-4 state)
+    {
         let (scenario, detector, mut ps, cfg) = smoke_attack(6);
         let plan = FaultPlan::new(0).kill_at(4);
         let mut trainer = AttackTrainer::new(&scenario, &detector, &mut ps, &cfg);
@@ -182,30 +176,16 @@ fn fast_tier_kill_resumes_on_reference_tier() {
             .run(&mut trainer)
             .expect_err("scripted kill fires");
         assert!(matches!(err, RunnerError::SimulatedKill { step: 4 }));
-    });
+    }
 
-    // a runner on the fast tier labels its report accordingly
-    fast.enter(|| {
-        let (scenario, detector, mut ps, cfg) = smoke_attack(1);
-        let (_, report) = train_decal_attack_recoverable(
-            &scenario,
-            &detector,
-            &mut ps,
-            &cfg,
-            &Default::default(),
-        )
-        .expect("tiny fast run");
-        assert_eq!(report.tier, "fast");
-    });
-
-    // the restore is bitwise across the tier change: a fresh trainer on
-    // the reference tier re-encodes the fast run's bytes exactly
+    // the restore is bitwise: a fresh trainer re-encodes the killed
+    // run's bytes exactly
     let bytes = std::fs::read(&path).expect("checkpoint file");
     let ck = load_checkpoint_file(&path).expect("checkpoint readable");
     with_threads(0, || {
         let (scenario, detector, mut ps, cfg) = smoke_attack(6);
         let mut trainer = AttackTrainer::new(&scenario, &detector, &mut ps, &cfg);
-        trainer.restore(&ck).expect("cross-tier restore");
+        trainer.restore(&ck).expect("restore");
         assert_eq!(trainer.steps_done(), 4);
         assert_eq!(
             encode_checkpoint(&trainer.checkpoint()),
@@ -214,7 +194,7 @@ fn fast_tier_kill_resumes_on_reference_tier() {
         );
     });
 
-    // leg 2: resume on the reference tier — twice, bitwise-identically
+    // leg 2: resume — twice, bitwise-identically
     let resume_opts = RecoveryOptions {
         resume: true,
         ..opts
@@ -223,12 +203,11 @@ fn fast_tier_kill_resumes_on_reference_tier() {
         with_threads(0, || {
             let (scenario, detector, mut ps, cfg) = smoke_attack(6);
             train_decal_attack_recoverable(&scenario, &detector, &mut ps, &cfg, &resume_opts)
-                .expect("cross-tier resume")
+                .expect("resume")
         })
     };
     let (decal_a, report_a) = run_resume();
     assert_eq!(report_a.resumed_from, Some(4));
-    assert_eq!(report_a.tier, "reference", "the tier change is reported");
     // rewind the checkpoint file and replay the resume
     std::fs::write(&path, &bytes).expect("rewind checkpoint");
     let (decal_b, report_b) = run_resume();
@@ -236,7 +215,7 @@ fn fast_tier_kill_resumes_on_reference_tier() {
     assert_eq!(
         decal_a.decal.channel_data(),
         decal_b.decal.channel_data(),
-        "cross-tier resume is not deterministic"
+        "resume is not deterministic"
     );
     let key = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(key(&decal_a.attack_loss), key(&decal_b.attack_loss));

@@ -1,12 +1,11 @@
 //! Fault-matrix integration tests for the supervisor: N concurrent
 //! supervised jobs, one sabotaged — panic at a step, stall past the
-//! job deadline, a gradient NaN storm, a corrupted checkpoint, or
-//! injected fast-tier drift — and the siblings must finish
-//! **bitwise-identically** to their solo runs.
+//! job deadline, a gradient NaN storm or a corrupted checkpoint — and
+//! the siblings must finish **bitwise-identically** to their solo runs.
 //!
 //! Containment holds because every job runs on its own
-//! [`road_decals_repro::tensor::Runtime`] (separate worker budget,
-//! scratch arena and tier) and the parallel substrate's partitioning is
+//! [`road_decals_repro::tensor::Runtime`] (separate worker budget and
+//! scratch arena) and the parallel substrate's partitioning is
 //! size-only, so a job's numerics do not depend on what its neighbors
 //! are doing — or whether they are alive at all.
 
@@ -24,7 +23,7 @@ use road_decals_repro::attack::{
 use road_decals_repro::detector::{DetectorTrainer, TinyYolo, TrainConfig, YoloConfig};
 use road_decals_repro::scene::dataset::{generate, DatasetConfig, Sample};
 use road_decals_repro::scene::CameraRig;
-use road_decals_repro::tensor::{ParamSet, Tier};
+use road_decals_repro::tensor::ParamSet;
 
 /// Fresh detector-training state for a job, seeded off `seed` so every
 /// job in a fleet trains a distinct model on distinct data.
@@ -362,65 +361,4 @@ fn fleet_corrupt_checkpoint_is_contained() {
     // a from-scratch restart is the straight run: bitwise equal to solo
     assert_eq!(results[3], solos[3], "restarted job diverged from solo");
     assert_siblings_bitwise(&defs, 3, &results, &solos);
-}
-
-// ------------------------------------------------------------ tier drift
-
-#[test]
-fn fleet_tier_drift_demotes_and_resumes() {
-    let mut defs = matrix_defs("drift", 500);
-    // sabotage job 0: it starts on the fast tier, and at step 2 the
-    // fault plan injects a certificate violation. The supervisor demotes
-    // the job to the reference tier and resumes it from the step-2
-    // checkpoint; on the reference tier the guard never fires again.
-    defs[0].fault = Some(FaultPlan::new(0).tier_drift_at(2, "head/conv_out", 9001, 4096));
-    let spec = JobSpec::new("drifty")
-        .tier(Tier::Fast)
-        .max_retries(0)
-        .checkpoint_path(defs[0].ck.clone());
-    let specs = matrix_specs(&defs, 0, spec);
-    let solos: Vec<_> = defs
-        .iter()
-        .zip(&specs)
-        .enumerate()
-        .map(|(i, (d, s))| {
-            if i == 0 {
-                None // mixed-tier trajectory has no single-tier baseline
-            } else {
-                solo(d, s)
-            }
-        })
-        .collect();
-
-    let (reports, results) = run_matrix(&defs, &specs);
-
-    let drifty = &reports[0];
-    assert!(
-        drifty.finished(),
-        "demotion resumes the job: {:?}",
-        drifty.outcome
-    );
-    assert_eq!(drifty.attempts, 2, "one fast attempt, one reference resume");
-    assert_eq!(drifty.quarantined, 0, "demotion is not a crash");
-    let demo = drifty.demotion.as_ref().expect("demotion recorded");
-    assert_eq!(demo.step, 2);
-    assert_eq!(demo.drift.head, "head/conv_out");
-    assert_eq!(demo.drift.observed_ulp, 9001);
-    assert_eq!(demo.drift.bound_ulp, 4096);
-    assert_eq!((demo.from, demo.to), (Tier::Fast, Tier::Reference));
-    let runner = drifty.runner.as_ref().unwrap();
-    assert_eq!(
-        runner.tier, "reference",
-        "the finishing attempt ran demoted"
-    );
-    assert_eq!(
-        runner.resumed_from,
-        Some(2),
-        "resumed from the last checkpoint"
-    );
-    assert!(
-        results[0].is_some(),
-        "the demoted job still delivers a result"
-    );
-    assert_siblings_bitwise(&defs, 0, &results, &solos);
 }
