@@ -66,6 +66,12 @@ cargo test --release -q -p rd-tensor simd
 # the portable backend and hold the pinned reference digest and the
 # compiled-vs-tape tests on the scalar bodies too.
 RD_NO_SIMD=1 cargo test --release -q -p rd-detector --test infer --test train_compiled
+# The same for every test that reaches a GEMM's scalar loop: all of
+# rd-tensor (including the pin of the tape's `linear` to the plain
+# i-k-j loop), both GAN plan-vs-tape tests, and both attacks'
+# compiled-vs-tape tests.
+RD_NO_SIMD=1 cargo test --release -q -p rd-tensor -p rd-gan
+RD_NO_SIMD=1 cargo test --release -q -p road-decals --lib matches_tape_bitwise
 
 echo "==> render fast-path equivalence (seed renderer vs fresh path vs cached FrameRenderer, both backends)"
 # The PR 10 contract at test granularity: property-tested bitwise

@@ -5,10 +5,8 @@
 //! parameters whose gradient is structurally zero because every path to
 //! the loss crosses a node without a backward closure.
 //!
-//! Opaque `custom` nodes (recorded without parent metadata) force
-//! conservatism: an opaque node is treated as if it could read every
-//! earlier node, so reachability-based lints never report a false
-//! positive because of one.
+//! Every node records the complete list of tape positions it reads, so
+//! reachability follows parent lists alone.
 
 use crate::shape::expected_arity;
 use rd_tensor::{Graph, ParamSet, VarId};
@@ -67,11 +65,6 @@ fn node_path(g: &Graph, i: usize) -> String {
     }
 }
 
-fn is_opaque(g: &Graph, i: usize) -> bool {
-    let meta = g.meta(VarId::from_index(i));
-    meta.op == "custom" && meta.parents.is_empty()
-}
-
 /// Marks everything reachable backwards from `root` by following parent
 /// lists. When `grad_only` is set, edges out of a node are only followed
 /// if that node has a backward closure (or is the root itself), which
@@ -83,17 +76,6 @@ fn reach_backwards(g: &Graph, root: usize, grad_only: bool) -> Vec<bool> {
     while let Some(i) = stack.pop() {
         let id = VarId::from_index(i);
         if grad_only && i != root && !g.has_back(id) {
-            continue;
-        }
-        if is_opaque(g, i) && g.has_back(id) {
-            // Unknown closure: assume it reads (and back-propagates to)
-            // every earlier node.
-            for j in 0..i {
-                if !seen[j] {
-                    seen[j] = true;
-                    stack.push(j);
-                }
-            }
             continue;
         }
         for p in g.meta(id).parents.iter() {
@@ -166,7 +148,6 @@ fn lint_impl(g: &Graph, ps: Option<&ParamSet>) -> Vec<LintIssue> {
 
     let fwd = reach_backwards(g, root, false);
     let grad = reach_backwards(g, root, true);
-    let any_opaque = (0..g.len()).any(|i| is_opaque(g, i));
 
     // Unused / zero-grad parameters.
     for (link_idx, &(var, pid, uid)) in g.param_links().iter().enumerate() {
@@ -194,27 +175,24 @@ fn lint_impl(g: &Graph, ps: Option<&ParamSet>) -> Vec<LintIssue> {
         }
     }
 
-    // Dead nodes: computed, never consumed. Suppressed entirely when an
-    // opaque custom node exists, because consumers are then unknowable.
-    if !any_opaque {
-        let mut consumed = vec![false; g.len()];
-        for i in 0..g.len() {
-            for p in g.meta(VarId::from_index(i)).parents.iter() {
-                if p.index() < i {
-                    consumed[p.index()] = true;
-                }
+    // Dead nodes: computed, never consumed.
+    let mut consumed = vec![false; g.len()];
+    for i in 0..g.len() {
+        for p in g.meta(VarId::from_index(i)).parents.iter() {
+            if p.index() < i {
+                consumed[p.index()] = true;
             }
         }
-        for (i, &used) in consumed.iter().enumerate() {
-            let meta = g.meta(VarId::from_index(i));
-            if i != root && !used && !matches!(meta.op, "input" | "param") {
-                issues.push(LintIssue {
-                    kind: LintKind::DeadNode,
-                    node: i,
-                    path: node_path(g, i),
-                    message: format!("{} output is never consumed", meta.op),
-                });
-            }
+    }
+    for (i, &used) in consumed.iter().enumerate() {
+        let meta = g.meta(VarId::from_index(i));
+        if i != root && !used && !matches!(meta.op, "input" | "param") {
+            issues.push(LintIssue {
+                kind: LintKind::DeadNode,
+                node: i,
+                path: node_path(g, i),
+                message: format!("{} output is never consumed", meta.op),
+            });
         }
     }
 

@@ -93,7 +93,7 @@ impl std::fmt::Display for NanReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "first non-finite value produced by {}", self.culprit)?;
         if self.parents.is_empty() {
-            writeln!(f, "  parents: none recorded (leaf or opaque custom op)")?;
+            writeln!(f, "  parents: none recorded (a leaf)")?;
         } else {
             for p in &self.parents {
                 writeln!(f, "  parent {p}")?;

@@ -4,8 +4,14 @@
 //! only after it persists for several consecutive frames ("an object is
 //! confirmed by AVs only after the object is detected for consecutive
 //! frames"), so a patch that fools single frames intermittently never
-//! actually diverts the vehicle. [`Confirmer`] implements that rule and is
-//! what the CWC metric is computed against.
+//! actually diverts the vehicle. The rule comes in three forms:
+//!
+//! * [`ConfirmState`] latches on one target class, frame by frame. CWC
+//!   is scored with it (through `road-decals`' `metrics::CellAccumulator`).
+//! * [`has_consecutive`] scans a buffered history: the reference the
+//!   streamed scorer is tested against.
+//! * [`Confirmer`] follows whichever class currently persists; it feeds
+//!   the [`crate::Tracker`].
 
 use rd_scene::ObjectClass;
 

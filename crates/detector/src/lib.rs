@@ -7,9 +7,11 @@
 //! The crate provides the [`TinyYolo`] model (conv/BN/leaky backbone with
 //! coarse + fine anchor heads), target assignment and the fused YOLO
 //! training loss ([`loss`]), decoding and NMS ([`Detection`]), a training
-//! loop ([`train`]) and the consecutive-frame [`Confirmer`] that the
-//! paper's CWC metric is built on. The targeted attack loss of the
-//! paper's Eq. 2 lives in [`loss::targeted_class_loss`].
+//! loop ([`train`]) and the consecutive-frame confirmation rule behind
+//! the paper's CWC metric: [`ConfirmState`], which CWC is scored with,
+//! [`has_consecutive`] over a buffered history, and [`Confirmer`], which
+//! feeds the [`Tracker`]. The targeted attack loss of the paper's Eq. 2
+//! lives in [`loss::targeted_class_loss`].
 
 #![warn(missing_docs)]
 

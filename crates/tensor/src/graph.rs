@@ -27,7 +27,6 @@
 //! ```
 
 use crate::params::{ParamId, ParamSet};
-use crate::smallvec::SmallVec;
 use crate::tensor::Tensor;
 
 /// Handle to a node on the tape.
@@ -57,13 +56,12 @@ impl VarId {
 /// shape information there is.
 #[derive(Debug, Clone)]
 pub struct OpMeta {
-    /// Stable op name (`"conv2d"`, `"add"`, ...); `"custom"` for fused
-    /// ops recorded through [`Graph::custom`] without metadata.
+    /// Stable op name (`"conv2d"`, `"add"`, ...); fused ops from other
+    /// crates name themselves through [`Graph::custom_named`].
     pub op: &'static str,
     /// Tape positions this node reads. Must be complete for analyses to
-    /// trace reachability; `custom` nodes with unknown parents are
-    /// treated conservatively.
-    pub parents: SmallVec,
+    /// trace reachability.
+    pub parents: Vec<VarId>,
     /// The output shape this node claims to produce.
     pub expected_shape: Vec<usize>,
     /// Scalar op attributes, e.g. `("stride", 2)` for a conv.
@@ -288,7 +286,7 @@ impl Graph {
     ) -> VarId {
         let meta = OpMeta {
             op,
-            parents: SmallVec::from_slice(parents),
+            parents: parents.to_vec(),
             expected_shape: value.shape().to_vec(),
             attrs: attrs.to_vec(),
             scope: self.scope_path.clone(),
@@ -310,23 +308,13 @@ impl Graph {
         VarId(self.values.len() - 1)
     }
 
-    /// Appends a node. This is the extension point for fused ops defined in
-    /// other crates (e.g. the detector's YOLO loss): `back` receives the
-    /// output gradient, the full value tape and the mutable gradient tape,
-    /// and must accumulate into its parents' entries only.
-    ///
-    /// Nodes appended this way carry opaque metadata (`op = "custom"`, no
-    /// parents), which forces graph analyses to be conservative around
-    /// them. Prefer [`Graph::custom_named`] so lints and shape validation
-    /// can see through the op.
-    pub fn custom(&mut self, value: Tensor, back: Option<BackFn>) -> VarId {
-        self.eager("custom");
-        self.record("custom", &[], &[], value, back)
-    }
-
-    /// Appends a fused op node with full metadata: a stable `op` name,
-    /// the complete list of tape positions the closure reads, and any
-    /// scalar attributes worth surfacing in diagnostics.
+    /// Appends a fused op node with full metadata. This is the extension
+    /// point for fused ops defined in other crates (e.g. the detector's
+    /// YOLO loss): a stable `op` name, the complete list of tape positions
+    /// the closure reads, and any scalar attributes worth surfacing in
+    /// diagnostics. `back` receives the output gradient, the full value
+    /// tape and the mutable gradient tape, and must accumulate into its
+    /// parents' entries only.
     pub fn custom_named(
         &mut self,
         op: &'static str,
@@ -360,7 +348,7 @@ impl Graph {
         self.backs.push(None);
         self.metas.push(OpMeta {
             op,
-            parents: SmallVec::from_slice(parents),
+            parents: parents.to_vec(),
             expected_shape: shape.to_vec(),
             attrs: attrs.to_vec(),
             scope: self.scope_path.clone(),

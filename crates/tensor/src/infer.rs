@@ -40,14 +40,15 @@
 use std::sync::Mutex;
 
 use crate::arena;
-use crate::conv::{conv_gemm, im2col};
+use crate::conv::im2col;
 use crate::graph::{Graph, VarId};
 use crate::parallel;
 use crate::params::ParamSet;
 use crate::plan::{self, Act, OpKind, Plan};
 use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
 use crate::profile;
-use crate::tensor::{matmul_into, Tensor};
+use crate::simd::exact_gemm;
+use crate::tensor::Tensor;
 
 /// A compiled, grad-free execution plan: the shared `crate::plan`
 /// lowering of a shape-only trace, executed per sample.
@@ -136,7 +137,7 @@ impl InferPlan {
                         wo,
                         &mut cols[..ckk * howo],
                     );
-                    conv_gemm(
+                    exact_gemm(
                         ps.get(c.w).value().data(),
                         &cols[..ckk * howo],
                         &mut out,
@@ -306,8 +307,7 @@ impl InferPlan {
                     let wt = derived[oi]
                         .as_ref()
                         .expect("linear op missing derived transposed weight");
-                    o.fill(0.0);
-                    matmul_into(&bufs.slots[*x][..*in_dim], wt, &mut o, 1, *in_dim, *out_dim);
+                    exact_gemm(&bufs.slots[*x][..*in_dim], wt, &mut o, 1, *in_dim, *out_dim);
                     let bv = ps.get(*b).value().data();
                     for (ov, &bvv) in o.iter_mut().zip(bv) {
                         *ov += bvv;

@@ -9,7 +9,7 @@
 //! pooling, GAN layers, EOT image warps — must be differentiable. This
 //! crate provides:
 //!
-//! * [`Tensor`] — dense row-major `f32` arrays with a blocked GEMM.
+//! * [`Tensor`] — dense row-major `f32` arrays.
 //! * [`Graph`] — a single-use autodiff tape ([`Graph::backward`] produces
 //!   [`Gradients`]); ops cover conv2d, max-pool, upsample, batch norm,
 //!   activations, losses and sparse [`LinearMap`] warps.
@@ -27,6 +27,9 @@
 //!   with activation column caching, bitwise-identical to a tape
 //!   forward+backward.
 //! * [`check`] — numerical gradient checking used across the workspace.
+//! * [`simd`] — the exact kernels, AVX2 with a portable fallback: every
+//!   GEMM (the convolutions and [`Tensor::matmul`]), the sparse warp
+//!   gather and the capture channel's blend and blur.
 //! * [`runtime`] — instance-scoped execution contexts ([`Runtime`]):
 //!   each bundles a worker-thread budget, fixed when it is built, with
 //!   a scratch arena, profiler registry and cancellation state. The free functions in [`parallel`] /
@@ -81,7 +84,6 @@ pub mod profile;
 pub mod runtime;
 pub mod shape;
 pub mod simd;
-mod smallvec;
 mod tensor;
 pub mod train_plan;
 
@@ -92,6 +94,5 @@ pub use linmap::{LinearMap, WarpEntry};
 pub use params::{Param, ParamId, ParamSet};
 pub use plan_meta::{ConvGeom, ParamRef, ParamRole, PlanKind, PlanMeta, PlanOpMeta, SlotMeta};
 pub use runtime::{Cancelled, Runtime, RuntimeConfig, Tier};
-pub use smallvec::SmallVec;
 pub use tensor::Tensor;
 pub use train_plan::{TrainPlan, TrainStep};

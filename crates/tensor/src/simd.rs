@@ -9,8 +9,10 @@
 //! # Contract
 //!
 //! Every kernel here is exact. `exact_gemm`, `exact_gemm_nt` and
-//! `exact_gemm_tn_over` (the conv GEMMs behind the tape and both
-//! compiled plans), `sparse_gather` (behind [`crate::LinearMap`]),
+//! `exact_gemm_tn_over` (every GEMM in the workspace: the conv forward
+//! and backward of the tape and both compiled plans, and the linear
+//! layers behind [`crate::Tensor::matmul`] and [`crate::InferPlan`]),
+//! `sparse_gather` (behind [`crate::LinearMap`]),
 //! [`add_scaled_clamp`] and [`box_blur_vertical`] run, per output
 //! element, the scalar loop's own sequence of separate `mul`s and
 //! `add`s: never FMA, no re-association. IEEE `mul` and `add` round the
@@ -29,8 +31,8 @@
 //!   and `RD_NO_SIMD` is unset. The kernels need only AVX2; the
 //!   selection rule and the `avx2+fma` label are kept because reports
 //!   and perfbench's manifest print the label.
-//! * [`Backend::Portable`] — the same kernels' safe scalar bodies (for
-//!   the GEMMs, the ones in `crate::conv`).
+//! * [`Backend::Portable`] — the same kernels' safe scalar bodies, one
+//!   plain loop per kernel in the private `portable` module.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
@@ -168,7 +170,8 @@ pub fn box_blur_vertical(src: &[f32], dst: &mut [f32], h: usize, w: usize, radiu
 }
 
 /// Exact forward GEMM `out = a[m,k] × b[k,n]`, overwrite mode: the
-/// conv forward (`conv::conv_gemm`).
+/// conv forward of the tape and both plans, [`crate::Tensor::matmul`]
+/// and the compiled linear layer.
 ///
 /// Per output element both backends run the scalar body's sequence:
 /// from `+0.0`, ascending `k`, one `mul` then one `add` per term, and
@@ -191,12 +194,12 @@ pub(crate) fn exact_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usi
         // detection of `avx2`; the assert above bounds every read of
         // `a` and `b` and every write of `out`.
         Backend::Avx2Fma => unsafe { avx2::gemm::<false>(a, k, 1, b, out, m, k, n) },
-        Backend::Portable => crate::conv::conv_gemm_scalar(a, b, out, m, k, n),
+        Backend::Portable => portable::gemm(a, b, out, m, k, n),
     }
 }
 
 /// Exact grad-weight GEMM `out[m,n] += a[m,k] × b[n,k]ᵀ`: the conv
-/// backward's `conv::gemm_nt`.
+/// backward of the tape and of `TrainPlan`.
 ///
 /// Per output element both backends form the dot product from `+0.0`,
 /// ascending `k`, one `mul` then one `add` per term (no term skipped),
@@ -235,18 +238,22 @@ pub(crate) fn exact_gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: 
             // `out`.
             unsafe { avx2::gemm_nt(at, m8, b, out, m, k, n) }
         }
-        Backend::Portable => crate::conv::gemm_nt_scalar(a, b, out, m, k, n),
+        Backend::Portable => portable::gemm_nt(a, b, out, m, k, n),
     }
 }
 
 /// Exact grad-input GEMM `out[m,n] = a[k,m]ᵀ × b[k,n]`, overwrite mode:
-/// the conv backward's `conv::gemm_tn_over`.
+/// the conv backward of the tape and of `TrainPlan`.
 ///
 /// Per output element both backends write the first term as `a·b` (or
 /// `+0.0` when its `a` is zero), then add the later terms in ascending
 /// `k`, one `mul` then one `add` each, skipping every term whose `a`
 /// equals `0.0` — **bitwise identical** to the scalar body, and every
-/// element of `out[..m·n]` is overwritten.
+/// element of `out[..m·n]` is overwritten. Against zeroing `out` first
+/// (the [`exact_gemm`] sequence), only the `0.0 + x` fold of the first
+/// term is gone, which can flip the sign of a zero but never a value;
+/// conv backward's `col2im` scatter-add folds any `-0.0` away before
+/// gradients escape.
 ///
 /// # Panics
 ///
@@ -267,13 +274,74 @@ pub(crate) fn exact_gemm_tn_over(
         // SAFETY: AVX2 presence established by `backend()`; the assert
         // above bounds every read of `a` and `b` and write of `out`.
         Backend::Avx2Fma => unsafe { avx2::gemm::<true>(a, 1, m, b, out, m, k, n) },
-        Backend::Portable => crate::conv::gemm_tn_over_scalar(a, b, out, k, m, n),
+        Backend::Portable => portable::gemm_tn_over(a, b, out, k, m, n),
     }
 }
 
 /// Safe scalar bodies of the kernels above (also the only backend on
 /// non-x86_64 hosts).
 mod portable {
+    /// Portable [`super::exact_gemm`]: `out[..m·n]` zeroed, then i-k-j
+    /// with `out +=`, skipping every term whose `a` is zero.
+    pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        out[..m * n].fill(0.0);
+        for i in 0..m {
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in orow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    /// Portable [`super::exact_gemm_nt`]: one dot product per output
+    /// element, from `0.0`, added into `out`.
+    pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for (x, y) in arow.iter().zip(&b[j * k..(j + 1) * k]) {
+                    acc += x * y;
+                }
+                out[i * n + j] += acc;
+            }
+        }
+    }
+
+    /// Portable [`super::exact_gemm_tn_over`]: outer products in
+    /// ascending `p`, the `p == 0` one written (zero-filled when its
+    /// `a` is zero), the later ones added, skipping zero `a`s.
+    pub fn gemm_tn_over(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+        if k == 0 {
+            out[..m * n].fill(0.0);
+            return;
+        }
+        for p in 0..k {
+            let brow = &b[p * n..(p + 1) * n];
+            for (i, &av) in a[p * m..(p + 1) * m].iter().enumerate() {
+                let orow = &mut out[i * n..(i + 1) * n];
+                if p == 0 {
+                    if av == 0.0 {
+                        orow.fill(0.0);
+                    } else {
+                        for (o, &bv) in orow.iter_mut().zip(brow) {
+                            *o = av * bv;
+                        }
+                    }
+                } else if av != 0.0 {
+                    for (o, &bv) in orow.iter_mut().zip(brow) {
+                        *o += av * bv;
+                    }
+                }
+            }
+        }
+    }
+
     /// Portable [`super::sparse_gather`]: the per-row accumulation loop,
     /// entry order, from `0.0` — the scalar scatter's exact add chain.
     pub fn sparse_gather(
@@ -901,7 +969,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv;
+    use crate::Tensor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -936,9 +1004,9 @@ mod tests {
             ("h2", 30, 128, 16),
         ];
         let kernels: [(&str, [Gemm; 2]); 3] = [
-            ("fwd", [conv::conv_gemm_scalar, exact_gemm]),
-            ("nt", [conv::gemm_nt_scalar, exact_gemm_nt]),
-            ("tn", [conv::gemm_tn_over_scalar, exact_gemm_tn_over]),
+            ("fwd", [portable::gemm, exact_gemm]),
+            ("nt", [portable::gemm_nt, exact_gemm_nt]),
+            ("tn", [portable::gemm_tn_over, exact_gemm_tn_over]),
         ];
         let mut rng = StdRng::seed_from_u64(7);
         println!("backend {}", backend().label());
@@ -1186,10 +1254,10 @@ mod tests {
             (0..n).for_each(|j| b[p * n + j] = poison(rng, true));
         }
         let mut want = vec![f32::NAN; m * n];
-        conv::conv_gemm_scalar(&a, &b, &mut want, m, k, n);
+        portable::gemm(&a, &b, &mut want, m, k, n);
         let mut got = vec![f32::NAN; m * n];
-        conv::conv_gemm(&a, &b, &mut got, m, k, n);
-        assert_same_bits(&got, &want, &format!("conv_gemm {tag}"));
+        exact_gemm(&a, &b, &mut got, m, k, n);
+        assert_same_bits(&got, &want, &format!("exact_gemm {tag}"));
 
         // grad-input: a[k,m]ᵀ × b[k,n], out poisoned (overwrite mode)
         let mut a = with_zeros(rng, k * m, zeros);
@@ -1199,10 +1267,10 @@ mod tests {
             (0..n).for_each(|j| b[p * n + j] = poison(rng, true));
         }
         let mut want = vec![f32::NAN; m * n];
-        conv::gemm_tn_over_scalar(&a, &b, &mut want, k, m, n);
+        portable::gemm_tn_over(&a, &b, &mut want, k, m, n);
         let mut got = vec![f32::NAN; m * n];
-        conv::gemm_tn_over(&a, &b, &mut got, k, m, n);
-        assert_same_bits(&got, &want, &format!("gemm_tn_over {tag}"));
+        exact_gemm_tn_over(&a, &b, &mut got, k, m, n);
+        assert_same_bits(&got, &want, &format!("exact_gemm_tn_over {tag}"));
 
         // grad-weight: out[m,k] += a[m,n] × b[k,n]ᵀ, non-zero start
         let mut a = with_zeros(rng, m * n, zeros);
@@ -1213,10 +1281,10 @@ mod tests {
         }
         let base = randv(rng, m * k);
         let mut want = base.clone();
-        conv::gemm_nt_scalar(&a, &b, &mut want, m, n, k);
+        portable::gemm_nt(&a, &b, &mut want, m, n, k);
         let mut got = base;
-        conv::gemm_nt(&a, &b, &mut got, m, n, k);
-        assert_same_bits(&got, &want, &format!("gemm_nt {tag}"));
+        exact_gemm_nt(&a, &b, &mut got, m, n, k);
+        assert_same_bits(&got, &want, &format!("exact_gemm_nt {tag}"));
     }
 
     #[test]
@@ -1240,6 +1308,47 @@ mod tests {
                 let n = rng.gen_range(1..300);
                 check_exact_gemms(&mut rng, m, k, n, zeros);
             }
+        }
+    }
+
+    #[test]
+    fn gemm_variants_agree_with_matmul() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let a = Tensor::randn(&mut rng, &[3, 4], 1.0);
+        let b = Tensor::randn(&mut rng, &[5, 4], 1.0);
+        let mut out = vec![0.0; 15];
+        exact_gemm_nt(a.data(), b.data(), &mut out, 3, 4, 5);
+        let want = a.matmul(&b.transpose2d());
+        for (x, y) in out.iter().zip(want.data()) {
+            assert!((x - y).abs() < 1e-5);
+        }
+        let c = Tensor::randn(&mut rng, &[4, 3], 1.0);
+        let d = Tensor::randn(&mut rng, &[4, 5], 1.0);
+        let mut out2 = vec![0.0; 15];
+        exact_gemm_tn_over(c.data(), d.data(), &mut out2, 4, 3, 5);
+        let want2 = c.transpose2d().matmul(&d);
+        for (x, y) in out2.iter().zip(want2.data()) {
+            assert!((x - y).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn gemm_tn_over_matches_zero_then_accumulate() {
+        // Overwrite mode on a poisoned buffer must equal the zero-started
+        // `Tensor::matmul(aᵀ, b)` by value (the dropped `0.0 + x` fold may
+        // flip the sign of a zero), across every tile width and a scalar
+        // tail, with zeros sprinkled into A to exercise the skip path.
+        let mut rng = StdRng::seed_from_u64(21);
+        for &(k, m, n) in &[(4, 6, 4), (3, 5, 16), (8, 7, 64), (2, 3, 70), (5, 4, 9)] {
+            let mut a = Tensor::randn(&mut rng, &[k, m], 1.0);
+            for v in a.data_mut().iter_mut().step_by(3) {
+                *v = 0.0;
+            }
+            let b = Tensor::randn(&mut rng, &[k, n], 1.0);
+            let want = a.transpose2d().matmul(&b);
+            let mut got = vec![f32::NAN; m * n];
+            exact_gemm_tn_over(a.data(), b.data(), &mut got, k, m, n);
+            assert_eq!(got, want.data(), "k={k} m={m} n={n}");
         }
     }
 

@@ -3,8 +3,8 @@
 //! [`Tensor`] is the value type everything else in the workspace is built
 //! on: images, network weights, gradients and intermediate activations.
 //! It is deliberately small — a shape vector plus a flat `Vec<f32>` — and
-//! favours clarity over micro-optimization except in [`Tensor::matmul`],
-//! which is the hot path of every convolution in the workspace.
+//! favours clarity over micro-optimization; its one product,
+//! [`Tensor::matmul`], runs the exact GEMM of [`crate::simd`].
 
 use std::fmt;
 
@@ -303,9 +303,10 @@ impl Tensor {
 
     /// Dense matrix product of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
     ///
-    /// Blocked i-k-j loop ordering; this is the workhorse behind im2col
-    /// convolution so it matters that the inner loop is stride-1 over both
-    /// the output row and the right-hand operand.
+    /// Runs the exact forward GEMM the convolutions use: per output
+    /// element a k-ascending `mul`-then-`add` chain from `+0.0` that
+    /// skips every term whose left factor is zero, so a NaN or infinity
+    /// behind a zero stays out of the sum. The tape's `linear` runs on it.
     ///
     /// # Panics
     ///
@@ -317,23 +318,7 @@ impl Tensor {
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dims {k} != {k2}");
         let mut out = crate::arena::take(m * n);
-        // Output rows are disjoint, so any row partition yields bitwise
-        // identical results; split large products across the worker
-        // pool (nested calls from inside conv/frame workers run inline
-        // via the pool's nesting guard).
-        if m > 1 && m * k * n >= 1 << 20 {
-            let groups = crate::parallel::groups_for(m);
-            let rows_per = m.div_ceil(groups);
-            let a = &self.data;
-            let b = &other.data;
-            crate::parallel::for_each_chunk_mut(&mut out, rows_per * n, |gi, chunk| {
-                let r0 = gi * rows_per;
-                let rows = chunk.len() / n;
-                matmul_into(&a[r0 * k..(r0 + rows) * k], b, chunk, rows, k, n);
-            });
-        } else {
-            matmul_into(&self.data, &other.data, &mut out, m, k, n);
-        }
+        crate::simd::exact_gemm(&self.data, &other.data, &mut out, m, k, n);
         Tensor {
             shape: vec![m, n],
             data: out,
@@ -361,31 +346,11 @@ impl Tensor {
     }
 }
 
-/// `out += a[m,k] * b[k,n]` with i-k-j ordering.
-pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn construction_and_access() {
@@ -460,6 +425,76 @@ mod tests {
         let c = a.matmul(&eye);
         for (x, y) in c.data().iter().zip(a.data()) {
             assert!((x - y).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn matmul_skips_zero_terms_bitwise() {
+        // Reference: the plain i-k-j loop (`out` zeroed, then `out +=`
+        // in ascending `p`, skipping every term whose `a` is zero). It
+        // pins the tape's `linear` to that arithmetic on both backends.
+        fn ikj(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                let orow = &mut out[i * n..(i + 1) * n];
+                for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (o, &bv) in orow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                        *o += av * bv;
+                    }
+                }
+            }
+            out
+        }
+        let mut rng = StdRng::seed_from_u64(95);
+        // The GAN's fc layers (generator z 16 -> 512 at batch 1,
+        // discriminator 512 -> 1 at batch 8) through the tape's
+        // `linear`: forward x·wᵀ, backward g·w and gᵀ·x.
+        let mut shapes = vec![
+            (1, 16, 512),
+            (1, 512, 16),
+            (512, 1, 16),
+            (8, 512, 1),
+            (8, 1, 512),
+            (1, 8, 512),
+        ];
+        for _ in 0..12 {
+            shapes.push((
+                rng.gen_range(1..40),
+                rng.gen_range(1..70),
+                rng.gen_range(1..300),
+            ));
+        }
+        for (m, k, n) in shapes {
+            let mut a = Tensor::randn(&mut rng, &[m, k], 1.0);
+            let mut b = Tensor::randn(&mut rng, &[k, n], 1.0);
+            // Dead reduction indices: a signed zero on every row of `a`,
+            // NaN or ±inf behind it in `b`. On the others, scattered
+            // signed zeros in `a`.
+            for p in 0..k {
+                let dead = rng.gen_range(0..5) == 0;
+                for i in 0..m {
+                    let r = rng.gen_range(0..8);
+                    if dead || r < 2 {
+                        a.data_mut()[i * k + p] = if r % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                if dead {
+                    for j in 0..n {
+                        b.data_mut()[p * n + j] = match rng.gen_range(0..3) {
+                            0 => f32::NAN,
+                            1 => f32::INFINITY,
+                            _ => f32::NEG_INFINITY,
+                        };
+                    }
+                }
+            }
+            let got = a.matmul(&b);
+            let want = ikj(a.data(), b.data(), m, k, n);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.data()), bits(&want), "m={m} k={k} n={n}");
         }
     }
 

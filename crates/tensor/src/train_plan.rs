@@ -31,7 +31,8 @@
 //! ## Bitwise equivalence with the tape
 //!
 //! Every kernel the executor calls is the *same function* the tape
-//! closures call ([`crate::conv`]'s GEMM/im2col/col2im family,
+//! closures call ([`crate::simd`]'s exact GEMMs, [`crate::conv`]'s
+//! im2col/col2im,
 //! [`crate::bnorm`]'s `bn_*` kernels, [`crate::pool`]'s batched
 //! fill/scatter kernels), invoked full-batch in the same op order with
 //! the same fixed [`crate::parallel::groups_for`] partition, and the
@@ -50,7 +51,7 @@ use crate::bnorm::{
     bn_batch_stats, bn_eval_backward, bn_eval_backward_gx_only, bn_eval_forward, bn_ivstd,
     bn_train_backward_gx, bn_train_backward_sums, bn_train_forward, BatchStats,
 };
-use crate::conv::{col2im, conv_gemm, gemm_nt, gemm_tn_over, im2col};
+use crate::conv::{col2im, im2col};
 use crate::graph::{Graph, VarId};
 use crate::params::{ParamId, ParamSet};
 use crate::plan::{self, Act, Conv, OpKind, Plan};
@@ -58,6 +59,7 @@ use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
 use crate::pool::{max_pool_backward, max_pool_forward, upsample2x_backward, upsample2x_forward};
 use crate::profile;
 use crate::runtime::{self, Runtime};
+use crate::simd::{exact_gemm, exact_gemm_nt, exact_gemm_tn_over};
 use crate::tensor::Tensor;
 
 /// Default im2col column-cache budget: 256 MiB of activation memory.
@@ -263,7 +265,7 @@ impl TrainPlan {
                                     wo,
                                     cols,
                                 );
-                                conv_gemm(wd_flat, cols, oslice, o, ckk, howo);
+                                exact_gemm(wd_flat, cols, oslice, o, ckk, howo);
                             }
                         });
                     }
@@ -764,11 +766,11 @@ impl TrainStep<'_> {
                                     &sc[..]
                                 }
                             };
-                            gemm_nt(gslice, cols, gw, o, howo, ckk);
+                            exact_gemm_nt(gslice, cols, gw, o, howo, ckk);
                         }
                         if let Some(gx_chunk) = gx_chunk.as_deref_mut() {
                             let gc = gcols.as_mut().expect("gcols gated above");
-                            gemm_tn_over(wd_flat, gslice, &mut gc[..], o, ckk, howo);
+                            exact_gemm_tn_over(wd_flat, gslice, &mut gc[..], o, ckk, howo);
                             col2im(
                                 &gc[..],
                                 cin,

@@ -53,19 +53,6 @@ fn conv_forward_and_backward_are_bitwise_identical_across_threads() {
     }
 }
 
-fn matmul_out() -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(5);
-    // large enough to cross the parallel-matmul threshold (m*k*n >= 2^20)
-    let a_t = Tensor::randn(&mut rng, &[128, 96], 1.0);
-    let b_t = Tensor::randn(&mut rng, &[96, 128], 1.0);
-    a_t.matmul(&b_t).data().to_vec()
-}
-
-#[test]
-fn large_matmul_is_bitwise_identical_across_threads() {
-    assert_eq!(with_threads(1, matmul_out), with_threads(4, matmul_out));
-}
-
 fn run_smoke_attack() -> rd::attack::TrainedDecal {
     let mut rng = StdRng::seed_from_u64(3);
     let mut ps_det = ParamSet::new();
