@@ -41,6 +41,19 @@ if [ -n "$leaks" ]; then
     exit 1
 fi
 
+echo "==> one thread budget (threads start only in parallel.rs and supervisor.rs)"
+# A runtime built with `threads: n` computes on at most n threads: the
+# worker pool in parallel.rs fans work out within that budget, and the
+# supervisor runs one thread per job, each on its own runtime. A thread
+# started anywhere else computes outside every budget.
+spawns=$(grep -rnE 'thread::(scope|spawn|Builder)' crates/*/src |
+    grep -vE '^crates/(tensor/src/parallel|core/src/supervisor)\.rs:' || true)
+if [ -n "$spawns" ]; then
+    echo "thread started outside the worker pool and the supervisor:" >&2
+    echo "$spawns" >&2
+    exit 1
+fi
+
 echo "==> one numeric contract (no FMA intrinsic or mul_add in crates/*/src)"
 # Every kernel is exact: separate IEEE mul and add, bitwise identical
 # to the tape on both SIMD backends. A fused multiply-add rounds once

@@ -1,10 +1,10 @@
 //! Challenge evaluation: drive (or shake) the camera, film the decals,
 //! run the detector per frame, and score PWC / CWC.
 //!
-//! [`evaluate_challenge`] runs the bounded-memory streaming pipeline in
+//! [`evaluate_challenge`] runs the bounded-memory streaming loop in
 //! [`crate::stream`]: frames are rendered, inferred and scored in fixed
-//! 16-frame chunks with render/inference overlap, so peak live frames
-//! are O(chunk) instead of O(drive length). The crate's unit tests keep
+//! 16-frame chunks, one chunk at a time, so peak live frames are
+//! O(chunk) instead of O(drive length). The crate's unit tests keep
 //! a materialize-then-batch *reference oracle* that draws the per-run
 //! RNG in the same order (`run_rng`) and batches the same 16-frame
 //! groups; streamed and buffered evaluation are held bitwise-identical
@@ -272,12 +272,12 @@ pub(crate) type FrameObserver<'a> = dyn FnMut(usize, usize, &[Detection], Option
 /// Evaluates a decal set under one challenge. `decals` may be empty (the
 /// "w/o attack" row).
 ///
-/// Scores the drive through the streaming pipeline
-/// ([`stream::evaluate_streamed`], which also reports pipeline
+/// Scores the drive through the streaming loop
+/// ([`stream::evaluate_streamed`], which also reports loop
 /// statistics).
 ///
 /// Runs on the caller's current runtime and honors its cancellation
-/// state: at every frame-rendering and inference-batch boundary the
+/// state: per run, per chunk and per rendered frame the
 /// deadline/cancel flag is checked, and a tripped runtime aborts the
 /// evaluation by unwinding with an [`rd_tensor::runtime::CancelUnwind`]
 /// payload (which a supervisor catches and reports as a deadline, not a

@@ -1,35 +1,31 @@
-//! Bounded-memory streaming evaluation: the render→infer→score pipeline
+//! Bounded-memory streaming evaluation: the render→infer→score loop
 //! behind [`evaluate_challenge`](crate::eval::evaluate_challenge), plus
 //! the fleet driver that scales it to thousands of supervised drives.
 //!
-//! # Pipeline
+//! # The loop
 //!
-//! Each run of a challenge video is driven as staged chunks of
-//! [`BATCH_FRAMES`] frames:
+//! Each run of a challenge video is driven on the calling thread, one
+//! chunk of [`BATCH_FRAMES`] frames at a time:
 //!
 //! ```text
-//! pose generation ─► noise pre-sampling ─► parallel chunk render
-//!    (producer thread, sequential per-run RNG)   (runtime pool)
-//!                                                       │
-//!                                                rendezvous channel
-//!                                                       ▼
-//!            online accumulate ◄─ decode ◄─ batched inference
-//!                      (consumer = calling thread)
+//! print ─► poses ─► for each chunk:
+//!                     capture draws ─► render ─► batch ─► infer ─► decode ─► fold
+//!                     (per-run RNG,    (runtime's          (runtime's
+//!                      frame order)     workers)            workers)
 //! ```
 //!
-//! The producer owns the per-run RNG on a dedicated thread entered into
-//! the caller's [`Runtime`](rd_tensor::Runtime): per chunk it samples
-//! the capture randomness sequentially in frame order
-//! ([`rd_scene::CaptureModel::sample_draws`]), then renders the chunk's
-//! frames in parallel on the runtime's worker pool through a shared
+//! Per chunk, the loop samples the capture randomness sequentially in
+//! frame order ([`rd_scene::CaptureModel::sample_draws`]), then renders
+//! the chunk's frames on the runtime's workers through one shared
 //! pose-keyed [`FrameRenderer`] — index-ordered fan-out, so the frames
-//! are bit-identical to serial rendering at any thread count. The
-//! consumer runs inference on the same pool. A zero-capacity rendezvous
-//! channel double-buffers the two stages: while the consumer infers
-//! chunk *k*, the producer renders chunk *k+1*, and peak live frames are
-//! bounded by one chunk pair (2 × [`BATCH_FRAMES`]) regardless of drive
-//! length — the buffered reference oracle in the crate's tests
-//! materializes the whole drive instead.
+//! are bit-identical to serial rendering at any thread count. It then
+//! batches the frames and hands them back to the arena, infers and
+//! decodes the batch, and folds each frame into the online scorers
+//! before the next chunk is rendered. So at most one chunk of frames is
+//! alive at a time whatever the drive length, and a runtime built with
+//! `threads: n` computes a drive on at most n threads. The buffered
+//! reference oracle in the crate's tests materializes the whole drive
+//! instead.
 //!
 //! # Bitwise contract
 //!
@@ -43,9 +39,8 @@
 //!    size ([`BATCH_FRAMES`]), so the model sees identical batches.
 //! 2. **Same draws**: one sequential per-run RNG covers decal printing,
 //!    pose generation and per-frame capture noise in frame order; the
-//!    producer owns it end to end and pre-samples each chunk's capture
-//!    draws *before* fanning the renders out, so parallelism cannot
-//!    reorder the stream.
+//!    loop pre-samples each chunk's capture draws *before* fanning the
+//!    renders out, so parallelism cannot reorder the stream.
 //! 3. **Same folds**: the online scorers
 //!    ([`CellAccumulator`](crate::metrics::CellAccumulator),
 //!    [`OutcomeAccumulator`](crate::metrics::OutcomeAccumulator)) run
@@ -54,19 +49,19 @@
 //!
 //! # Cancellation
 //!
-//! Every stage boundary checks the current runtime's cancel/deadline
-//! flag: the producer per rendered frame, the consumer per inference
-//! batch, the fleet driver per drive. A tripped check unwinds with a
-//! [`CancelUnwind`](rd_tensor::runtime::CancelUnwind) payload that is
-//! re-raised across the pipeline's thread boundary, so a supervisor
-//! classifies it as a deadline, not a crash.
+//! The loop checks the current runtime's cancel/deadline flag per run,
+//! per chunk and per rendered frame; the fleet driver checks it per
+//! drive. A tripped check unwinds with a
+//! [`CancelUnwind`](rd_tensor::runtime::CancelUnwind) payload, and
+//! [`parallel::run_indexed`] re-raises a render worker's payload on the
+//! calling thread unchanged, so a supervisor classifies it as a
+//! deadline, not a crash.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use rd_detector::{postprocess_into, DecodeBuffers, Detection, TinyYolo};
-use rd_scene::{CaptureDraws, GtBox, ObjectClass};
+use rd_scene::{CaptureDraws, ObjectClass};
 use rd_tensor::{parallel, runtime, ParamSet, Tier};
 use rd_vision::Image;
 
@@ -82,33 +77,34 @@ use crate::runner::{RunnerError, RunnerReport};
 use crate::scenario::AttackScenario;
 use crate::supervisor::{run_fleet, JobReport, JobSpec};
 
-/// Frames per pipeline chunk — identical to the buffered oracle's
-/// inference batch size, which is what makes the two paths produce the
-/// same batch groups (bitwise contract, invariant 1).
+/// Frames per chunk — identical to the buffered oracle's inference
+/// batch size, which is what makes the two paths produce the same batch
+/// groups (bitwise contract, invariant 1).
 pub const BATCH_FRAMES: usize = 16;
 
-/// What the pipeline went through, for the bounded-memory gate.
+/// What the loop went through, for the bounded-memory gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Frames rendered and scored across every run.
     pub frames: usize,
-    /// Chunks that crossed the render→infer channel.
+    /// Chunks rendered, inferred and scored across every run.
     pub chunks: usize,
-    /// Most frames ever alive at once (rendered, not yet scored and
-    /// dropped). Bounded by `2 * BATCH_FRAMES` by construction.
+    /// Most frames ever alive at once: the largest chunk rendered, since
+    /// a chunk's frames go back to the arena before the next chunk is
+    /// rendered. At most `BATCH_FRAMES` by construction.
     pub peak_live_frames: usize,
 }
 
-/// A streamed evaluation's outcome plus its pipeline statistics.
+/// A streamed evaluation's outcome plus its loop statistics.
 #[derive(Debug, Clone)]
 pub struct StreamedEval {
     /// The challenge outcome — bitwise-identical to the buffered oracle's.
     pub outcome: ChallengeOutcome,
-    /// Pipeline statistics for the memory-bound assertions.
+    /// Loop statistics for the memory-bound assertions.
     pub stats: StreamStats,
 }
 
-/// Evaluates a challenge through the streaming pipeline. This is what
+/// Evaluates a challenge through the streaming loop. This is what
 /// [`crate::eval::evaluate_challenge`] runs; this entry point
 /// additionally reports [`StreamStats`] for the bounded-memory gate.
 pub fn evaluate_streamed(
@@ -133,9 +129,6 @@ pub fn evaluate_streamed(
     )
 }
 
-/// One chunk crossing the render→infer boundary.
-type Chunk = (Vec<Image>, Vec<Option<GtBox>>);
-
 /// [`evaluate_streamed`] with the per-frame probe the bitwise oracle
 /// test uses.
 #[allow(clippy::too_many_arguments)]
@@ -155,9 +148,6 @@ pub(crate) fn evaluate_streamed_observed(
     let mut decode_bufs = DecodeBuffers::default();
     let mut dets: Vec<Vec<Detection>> = Vec::new();
     let mut stats = StreamStats::default();
-    let live = AtomicUsize::new(0);
-    let peak = AtomicUsize::new(0);
-    let rt = runtime::current();
     // one pose-keyed geometry cache for the whole evaluation, shared by
     // the chunk-render workers of every run
     let renderer = FrameRenderer::new(scenario);
@@ -175,119 +165,64 @@ pub(crate) fn evaluate_streamed_observed(
         let motion = challenge.motion_m_per_frame(cfg.fps);
 
         let mut cell_acc = CellAccumulator::new(target, CONFIRM_WINDOW);
-        std::thread::scope(|s| {
-            // rendezvous: send blocks until the consumer takes the
-            // chunk, so at most one chunk is in flight while another is
-            // being rendered — the double buffer and the memory bound
-            let (tx, rx) = mpsc::sync_channel::<Chunk>(0);
-            let producer = s.spawn({
-                let rt = rt.clone();
-                let poses = &poses;
-                let printed = &printed;
-                let renderer = &renderer;
-                let (live, peak) = (&live, &peak);
-                move || {
-                    // worker threads inherit the spawner's runtime only
-                    // through enter(): charge rendering to the caller's
-                    // runtime, not the process default
-                    rt.enter(|| {
-                        for chunk_poses in poses.chunks(BATCH_FRAMES) {
-                            runtime::check_cancelled_or_unwind();
-                            // capture randomness stays one sequential
-                            // producer stream: sample the chunk's draws
-                            // in frame order...
-                            let draws: Vec<CaptureDraws> = chunk_poses
-                                .iter()
-                                .map(|_| {
-                                    cfg.channel
-                                        .capture
-                                        .sample_draws(scenario.rig.image_hw, &mut rng)
-                                })
-                                .collect();
-                            // ...then fan the renders out on the
-                            // runtime's pool. Index-ordered collection:
-                            // bit-identical to serial at any thread
-                            // count.
-                            let frames = parallel::run_indexed(chunk_poses.len(), |i| {
-                                runtime::check_cancelled_or_unwind();
-                                let f = renderer.render(
-                                    scenario,
-                                    printed,
-                                    &chunk_poses[i],
-                                    cfg,
-                                    motion,
-                                    &draws[i],
-                                );
-                                let now = live.fetch_add(1, Ordering::Relaxed) + 1;
-                                peak.fetch_max(now, Ordering::Relaxed);
-                                f
-                            });
-                            for d in draws {
-                                d.recycle();
-                            }
-                            let victims: Vec<Option<GtBox>> =
-                                chunk_poses.iter().map(|p| scenario.victim_box(p)).collect();
-                            if tx.send((frames, victims)).is_err() {
-                                // consumer gone (its own cancel check
-                                // tripped): stop rendering
-                                return;
-                            }
-                        }
-                    });
-                }
-            });
-
-            // consumer: inference + decode + online scoring on the
-            // calling thread (and the runtime's worker pool)
-            while let Ok((frames, victims)) = rx.recv() {
+        for chunk_poses in poses.chunks(BATCH_FRAMES) {
+            runtime::check_cancelled_or_unwind();
+            // capture randomness stays one sequential stream: sample the
+            // chunk's draws in frame order...
+            let draws: Vec<CaptureDraws> = chunk_poses
+                .iter()
+                .map(|_| {
+                    cfg.channel
+                        .capture
+                        .sample_draws(scenario.rig.image_hw, &mut rng)
+                })
+                .collect();
+            // ...then fan the renders out on the runtime's workers.
+            // Index-ordered collection: bit-identical to serial at any
+            // thread count.
+            let frames = parallel::run_indexed(chunk_poses.len(), |i| {
                 runtime::check_cancelled_or_unwind();
-                let batch = Image::batch_to_tensor(&frames);
-                let n_frames = frames.len();
-                // frame buffers are arena-backed (FrameRenderer): hand
-                // them back as soon as they're batched
-                for f in frames {
-                    rd_tensor::arena::recycle(f.into_vec());
-                }
-                let (coarse, fine) = model.infer(ps, &batch);
-                postprocess_into(
-                    &coarse,
-                    &fine,
-                    model.config().num_classes,
-                    cfg.conf_threshold,
-                    cfg.nms_threshold,
-                    &mut decode_bufs,
-                    &mut dets,
-                );
-                // hand the batch and head buffers back to the arena so
-                // the next chunk reuses them instead of allocating fresh
-                rd_tensor::arena::recycle(batch.into_vec());
-                rd_tensor::arena::recycle(coarse.into_vec());
-                rd_tensor::arena::recycle(fine.into_vec());
-                for (dlist, victim) in dets.iter().zip(&victims) {
-                    let class = victim
-                        .as_ref()
-                        .and_then(|v| classify_victim(dlist, v, cfg.victim_iou));
-                    observer(run, cell_acc.frames(), dlist, class);
-                    acc.push_frame(class.is_some());
-                    cell_acc.push(class);
-                }
-                stats.chunks += 1;
-                stats.frames += n_frames;
-                live.fetch_sub(n_frames, Ordering::Relaxed);
+                renderer.render(scenario, &printed, &chunk_poses[i], cfg, motion, &draws[i])
+            });
+            for d in draws {
+                d.recycle();
             }
-
-            // the channel closed: either the producer finished the run
-            // or it unwound. Re-raise its panic (a CancelUnwind payload
-            // must cross the thread boundary intact so a supervisor
-            // still classifies it as a deadline).
-            if let Err(payload) = producer.join() {
-                std::panic::resume_unwind(payload);
+            stats.peak_live_frames = stats.peak_live_frames.max(frames.len());
+            let batch = Image::batch_to_tensor(&frames);
+            // frame buffers are arena-backed (FrameRenderer): hand them
+            // back as soon as they're batched
+            for f in frames {
+                rd_tensor::arena::recycle(f.into_vec());
             }
-        });
+            let (coarse, fine) = model.infer(ps, &batch);
+            postprocess_into(
+                &coarse,
+                &fine,
+                model.config().num_classes,
+                cfg.conf_threshold,
+                cfg.nms_threshold,
+                &mut decode_bufs,
+                &mut dets,
+            );
+            // hand the batch and head buffers back to the arena so the
+            // next chunk reuses them instead of allocating fresh
+            rd_tensor::arena::recycle(batch.into_vec());
+            rd_tensor::arena::recycle(coarse.into_vec());
+            rd_tensor::arena::recycle(fine.into_vec());
+            for (dlist, pose) in dets.iter().zip(chunk_poses) {
+                let class = scenario
+                    .victim_box(pose)
+                    .and_then(|v| classify_victim(dlist, &v, cfg.victim_iou));
+                observer(run, cell_acc.frames(), dlist, class);
+                acc.push_frame(class.is_some());
+                cell_acc.push(class);
+            }
+            stats.chunks += 1;
+            stats.frames += chunk_poses.len();
+        }
         acc.finish_run(cell_acc.finish(), cell_acc.frames());
     }
 
-    stats.peak_live_frames = peak.load(Ordering::Relaxed);
     StreamedEval {
         outcome: ChallengeOutcome {
             cell: acc.cell(),
@@ -360,10 +295,10 @@ impl FleetReport {
 /// contiguously across `fleet.jobs` jobs, each job runs on its own
 /// fresh per-attempt [`Runtime`](rd_tensor::Runtime) (panic quarantine,
 /// deadline, retry policy from `fleet`), and every drive streams through
-/// the bounded-memory pipeline with a derived seed
+/// the bounded-memory loop with a derived seed
 /// (`cfg.seed` mixed with the drive index). Cancellation is checked at
-/// every stage boundary: per drive here, per frame/batch inside the
-/// pipeline.
+/// every stage boundary: per drive here, per run, chunk and frame inside
+/// the loop.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_fleet(
     scenario: &AttackScenario,

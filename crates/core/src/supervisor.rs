@@ -427,6 +427,26 @@ mod tests {
         assert!(report.panics.is_empty());
     }
 
+    /// The same with the check on a worker of `run_indexed`, where a
+    /// streamed drive's render checks run. On a 1-CPU host
+    /// `run_indexed` runs inline, so this passes trivially there.
+    #[test]
+    fn cancel_unwind_in_a_worker_is_a_deadline_not_a_crash() {
+        let spec = JobSpec::new("unwound-in-worker")
+            .threads(2)
+            .deadline(Duration::from_millis(30));
+        let report = run_job(&spec, |_ctx| loop {
+            // the job already runs under its attempt's runtime
+            rd_tensor::parallel::run_indexed(4, |_| {
+                rd_tensor::runtime::check_cancelled_or_unwind()
+            });
+            std::thread::sleep(Duration::from_millis(2));
+        });
+        assert_eq!(report.outcome, JobOutcome::DeadlineExceeded);
+        assert_eq!(report.quarantined, 0, "a deadline unwind is not a crash");
+        assert!(report.panics.is_empty());
+    }
+
     #[test]
     fn fleet_reports_come_back_in_spec_order() {
         let jobs: Vec<(JobSpec, _)> = (0..4)

@@ -1,6 +1,6 @@
-//! Gates on the streaming evaluation pipeline: its live-frame memory
-//! must be bounded by one chunk pair regardless of drive length, and the
-//! fleet driver must account for every drive. (Its bitwise equality with
+//! Gates on the streaming evaluation loop: its live-frame memory must
+//! be bounded by one chunk regardless of drive length, and the fleet
+//! driver must account for every drive. (Its bitwise equality with
 //! the buffered reference oracle is tested inside the crate, where the
 //! oracle lives.)
 
@@ -32,7 +32,7 @@ fn setup() -> (Environment, AttackScenario, Deployment) {
 }
 
 #[test]
-fn peak_live_frames_bounded_by_one_chunk_pair() {
+fn peak_live_frames_bounded_by_one_chunk() {
     let (env, scenario, decals) = setup();
     let drive = |rotation_frames| {
         let cfg = EvalConfig {
@@ -56,13 +56,13 @@ fn peak_live_frames_bounded_by_one_chunk_pair() {
     assert_eq!(long.frames, 6 * BATCH_FRAMES);
     assert!(long.chunks > short.chunks);
     // the memory bound: a 12x longer drive must not hold more frames
-    // live than the double buffer allows
+    // live than one chunk
     assert!(
-        long.peak_live_frames <= 2 * BATCH_FRAMES,
-        "peak live frames {} exceeds one chunk pair",
+        long.peak_live_frames <= BATCH_FRAMES,
+        "peak live frames {} exceeds one chunk",
         long.peak_live_frames
     );
-    assert!(short.peak_live_frames <= 2 * BATCH_FRAMES);
+    assert!(short.peak_live_frames <= BATCH_FRAMES);
 }
 
 #[test]
@@ -88,9 +88,10 @@ fn arena_high_water_does_not_scale_with_drive_length() {
         });
         rt.arena_high_water()
     };
-    // frame buffers are arena-backed (FrameRenderer), so the pipeline's
-    // steady state — one chunk rendering while another is inferred —
-    // first appears at two chunks; measure from there
+    // frame buffers are arena-backed (FrameRenderer), so the loop's
+    // steady state — one chunk's frames, batch and head buffers, all
+    // recycled before the next chunk — begins at one chunk; measure from
+    // two chunks, where the second reuses the first's buffers
     let short = high_water(2 * BATCH_FRAMES);
     let long = high_water(6 * BATCH_FRAMES);
     // frame and inference scratch is recycled chunk to chunk: a 3x

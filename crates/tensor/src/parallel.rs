@@ -88,6 +88,11 @@ pub fn in_worker() -> bool {
 /// in its own slot, so the returned `Vec` is identical to the serial
 /// `(0..n).map(f).collect()` whatever the thread count. Runs inline
 /// when the budget is 1, `n <= 1`, or we are already inside a worker.
+///
+/// A panicking worker's own payload is re-raised on the calling thread
+/// once every worker has been joined, so a
+/// [`CancelUnwind`](crate::runtime::CancelUnwind) raised inside `f`
+/// reaches a supervisor as a cancellation, exactly as it would inline.
 pub fn run_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -106,21 +111,30 @@ where
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                rt.enter(|| {
-                    IN_WORKER.with(|fl| fl.set(true));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    rt.enter(|| {
+                        IN_WORKER.with(|fl| fl.set(true));
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            let v = f(i);
+                            *slots[i].lock().expect("parallel slot poisoned") = Some(v);
                         }
-                        let v = f(i);
-                        *slots[i].lock().expect("parallel slot poisoned") = Some(v);
-                    }
-                    IN_WORKER.with(|fl| fl.set(false));
-                });
-            });
+                        IN_WORKER.with(|fl| fl.set(false));
+                    });
+                })
+            })
+            .collect();
+        // Join every worker here and re-raise the first panic with its own
+        // payload: a worker the scope joins itself would have its payload
+        // replaced by the scope's generic message.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        if let Some(payload) = joined.into_iter().find_map(Result::err) {
+            std::panic::resume_unwind(payload);
         }
     });
     slots
@@ -279,6 +293,27 @@ mod tests {
             .clone()
             .enter(|| run_indexed(8, |_| runtime::current().id()));
         assert!(ids.iter().all(|&id| id == rt.id()));
+    }
+
+    /// A cancellation raised on a worker unwinds the caller with the
+    /// worker's own `CancelUnwind`, not the scope's generic panic
+    /// message. On a 1-CPU host `run_indexed` runs inline, so this
+    /// passes trivially there.
+    #[test]
+    fn worker_panic_payload_reaches_the_caller() {
+        let rt = Runtime::new(RuntimeConfig {
+            threads: 2,
+            ..RuntimeConfig::default()
+        });
+        rt.cancel();
+        let payload = std::panic::catch_unwind(|| {
+            rt.enter(|| run_indexed(4, |_| runtime::check_cancelled_or_unwind()))
+        })
+        .expect_err("a cancelled runtime must unwind");
+        let cu = payload
+            .downcast_ref::<runtime::CancelUnwind>()
+            .expect("payload is the worker's CancelUnwind");
+        assert_eq!(cu.0, crate::Cancelled::Requested);
     }
 
     /// The regression for the old process-wide thread-budget test

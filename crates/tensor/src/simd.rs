@@ -981,13 +981,15 @@ mod tests {
     /// Throughput probe at the smoke detector's twelve conv shapes
     /// `(out channels, C·kh·kw, Ho·Wo)`: GF/s of the scalar body and the
     /// dispatched exact kernel for the forward, grad-weight and
-    /// grad-input GEMMs. Ignored in normal runs:
+    /// grad-input GEMMs, as the median and min–max of five timed
+    /// batches. Ignored in normal runs:
     /// `cargo test --release -p rd-tensor simd::tests::micro -- --ignored
     /// --nocapture`
     #[test]
     #[ignore]
     fn micro() {
         use std::time::Instant;
+        const BATCHES: usize = 5;
         type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
         let shapes = [
             ("c1", 8usize, 27usize, 4096usize),
@@ -1024,24 +1026,34 @@ mod tests {
                     _ => (&w, &g, ckk * howo, (o, ckk, howo)),
                 };
                 let mut out = vec![0.0f32; len];
+                // GF/s of each of BATCHES timed batches, sorted: one batch
+                // alone swings by 1.5x run to run
                 let gfs = fns.map(|f| {
                     f(a, b, &mut out, dims.0, dims.1, dims.2);
-                    let t0 = Instant::now();
-                    for _ in 0..reps {
-                        f(a, b, &mut out, dims.0, dims.1, dims.2);
+                    let mut batches = [0.0f64; BATCHES];
+                    for g in &mut batches {
+                        let t0 = Instant::now();
+                        for _ in 0..reps {
+                            f(a, b, &mut out, dims.0, dims.1, dims.2);
+                        }
+                        std::hint::black_box(&out);
+                        *g = flop / t0.elapsed().as_secs_f64() / 1e9;
                     }
-                    std::hint::black_box(&out);
-                    flop / t0.elapsed().as_secs_f64() / 1e9
+                    batches.sort_by(f64::total_cmp);
+                    batches
                 });
+                let [s, e] = gfs.map(|g| g[BATCHES / 2]);
                 println!(
-                    "{name:>5} {kind:>3} m={:4} k={:5} n={:5}: scalar {:6.2}  exact {:6.2} GF/s  \
-                     (exact {:.2}x scalar)",
+                    "{name:>5} {kind:>3} m={:4} k={:5} n={:5}: scalar {s:6.2} ({:.2}-{:.2})  \
+                     exact {e:6.2} ({:.2}-{:.2}) GF/s median (min-max)  (exact {:.2}x scalar)",
                     dims.0,
                     dims.1,
                     dims.2,
-                    gfs[0],
-                    gfs[1],
-                    gfs[1] / gfs[0]
+                    gfs[0][0],
+                    gfs[0][BATCHES - 1],
+                    gfs[1][0],
+                    gfs[1][BATCHES - 1],
+                    e / s
                 );
             }
         }
