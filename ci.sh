@@ -65,6 +65,20 @@ if [ -n "$fma" ]; then
     exit 1
 fi
 
+echo "==> one kernel per op (the plan executors call the tape's kernels)"
+# The tape, TrainPlan and InferPlan stay bitwise identical because each
+# op's arithmetic lives in one kernel in the module that owns the op
+# (conv.rs, bnorm.rs, pool.rs, graph.rs) and all three engines call it.
+# An im2col, a GEMM, a max-pool, an upsample or an activation spelled
+# out in an executor is a second copy that can drift.
+copies=$(grep -nE 'NEG_INFINITY|alpha \* |\.max\(0\.0\)|\.exp\(\)|\(oh / 2\)|\bim2col\(|\bcol2im\(|exact_gemm(_nt|_tn_over)?\(' \
+    crates/tensor/src/infer.rs crates/tensor/src/train_plan.rs || true)
+if [ -n "$copies" ]; then
+    echo "op arithmetic inlined in a plan executor:" >&2
+    echo "$copies" >&2
+    exit 1
+fi
+
 echo "==> inference equivalence (compiled plan vs tape, 1 and 4 threads)"
 # The PR 4 contract: the grad-free compiled path is bitwise-identical
 # to forward_frozen on random weights/inputs at any thread count, and
@@ -81,8 +95,9 @@ cargo test --release -q -p rd-tensor simd
 RD_NO_SIMD=1 cargo test --release -q -p rd-detector --test infer --test train_compiled
 # The same for every test that reaches a GEMM's scalar loop: all of
 # rd-tensor (including the pin of the tape's `linear` to the plain
-# i-k-j loop), both GAN plan-vs-tape tests, and both attacks'
-# compiled-vs-tape tests.
+# i-k-j loop and the edge-value test, which runs NaN, ±0, ±inf and
+# subnormal inputs through the tape and both plans), both GAN
+# plan-vs-tape tests, and both attacks' compiled-vs-tape tests.
 RD_NO_SIMD=1 cargo test --release -q -p rd-tensor -p rd-gan
 RD_NO_SIMD=1 cargo test --release -q -p road-decals --lib matches_tape_bitwise
 

@@ -1,15 +1,15 @@
 //! Batch normalization over NCHW activations.
 //!
 //! The forward/backward arithmetic lives in free `bn_*` kernel
-//! functions shared between the tape closures here and the full-batch
-//! executor of the compiled training plan (`crate::train_plan`, which
-//! runs the shared `crate::plan` lowering), so the two paths are bitwise
-//! identical by construction. The per-sample inference executor
-//! (`crate::infer`) folds eval-mode batch norm into a per-channel
-//! affine with the same f32 sequence.
+//! functions that the tape closures here and the compiled training
+//! plan (`crate::train_plan`) both call. Eval mode is one per-channel
+//! affine, [`bn_eval_affine`], which all three engines apply through
+//! `crate::conv::conv_epilogue`.
 
+use crate::conv::conv_epilogue;
 use crate::graph::{Graph, VarId};
 use crate::params::{ParamId, ParamSet};
+use crate::plan::Act;
 use crate::tensor::Tensor;
 
 /// Per-channel batch statistics returned by the training-mode forward pass
@@ -90,11 +90,11 @@ pub(crate) fn bn_ivstd(var: &[f32], eps: f32, ivstd: &mut [f32]) {
     }
 }
 
-/// Training-mode forward: writes both the normalized activations
-/// (`xhat`, needed by the backward pass) and the affine output.
+/// Training-mode forward: normalizes `xhat` in place (it enters holding
+/// the input, and the backward pass needs the normalized values) and
+/// writes the affine output.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bn_train_forward(
-    xd: &[f32],
     n: usize,
     c: usize,
     hw: usize,
@@ -113,7 +113,7 @@ pub(crate) fn bn_train_forward(
             let ga = gv[ch];
             let be = bv[ch];
             for i in 0..hw {
-                let xh = (xd[off + i] - mu) * iv;
+                let xh = (xhat[off + i] - mu) * iv;
                 xhat[off + i] = xh;
                 out[off + i] = ga * xh + be;
             }
@@ -174,29 +174,37 @@ pub(crate) fn bn_train_backward_gx(
     }
 }
 
-/// Eval-mode forward: per-channel affine `x*scale + shift` with
-/// `scale = gamma*ivstd`, `shift = beta - mean*scale`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bn_eval_forward(
-    xd: &[f32],
-    n: usize,
-    c: usize,
-    hw: usize,
+/// Eval-mode batch norm as a per-channel affine `x·scale + shift`.
+pub(crate) struct BnAffine {
+    /// `1 / sqrt(var + eps)`, which the backward kernels read.
+    pub ivstd: Vec<f32>,
+    /// `gamma·ivstd`.
+    pub scale: Vec<f32>,
+    /// `beta − mean·scale`.
+    pub shift: Vec<f32>,
+}
+
+/// The eval-mode affine of running statistics `mean` / `var`.
+pub(crate) fn bn_eval_affine(
+    gamma: &[f32],
+    beta: &[f32],
     mean: &[f32],
-    ivstd: &[f32],
-    gv: &[f32],
-    bv: &[f32],
-    out: &mut [f32],
-) {
-    for ni in 0..n {
-        for ch in 0..c {
-            let off = (ni * c + ch) * hw;
-            let scale = gv[ch] * ivstd[ch];
-            let shift = bv[ch] - mean[ch] * scale;
-            for i in 0..hw {
-                out[off + i] = xd[off + i] * scale + shift;
-            }
-        }
+    var: &[f32],
+    eps: f32,
+) -> BnAffine {
+    let mut ivstd = vec![0.0; var.len()];
+    bn_ivstd(var, eps, &mut ivstd);
+    let scale: Vec<f32> = gamma.iter().zip(&ivstd).map(|(&g, &iv)| g * iv).collect();
+    let shift = beta
+        .iter()
+        .zip(mean)
+        .zip(&scale)
+        .map(|((&b, &m), &s)| b - m * s)
+        .collect();
+    BnAffine {
+        ivstd,
+        scale,
+        shift,
     }
 }
 
@@ -303,14 +311,13 @@ impl Graph {
         let mut var = Tensor::zeros(&[c]);
         bn_batch_stats(xv.data(), n, c, hw, mean.data_mut(), var.data_mut());
 
-        let mut xhat = Tensor::zeros(&[n, c, h, w]);
+        let mut xhat = xv.clone();
         let mut ivstd = Tensor::zeros(&[c]);
         bn_ivstd(var.data(), eps, ivstd.data_mut());
         let gv = self.value(gamma).clone();
         let bv = self.value(beta).clone();
         let mut out = Tensor::zeros(&[n, c, h, w]);
         bn_train_forward(
-            self.value(x).data(),
             n,
             c,
             hw,
@@ -391,23 +398,17 @@ impl Graph {
         assert_eq!(running_mean.len(), c);
         assert_eq!(running_var.len(), c);
         let hw = h * w;
-        let mut ivstd = Tensor::zeros(&[c]);
-        bn_ivstd(running_var.data(), eps, ivstd.data_mut());
         let mean = running_mean.clone();
-        let gv = self.value(gamma).clone();
-        let bv = self.value(beta).clone();
-        let mut out = Tensor::zeros(&[n, c, h, w]);
-        bn_eval_forward(
-            self.value(x).data(),
-            n,
-            c,
-            hw,
+        let affine = bn_eval_affine(
+            self.value(gamma).data(),
+            self.value(beta).data(),
             mean.data(),
-            ivstd.data(),
-            gv.data(),
-            bv.data(),
-            out.data_mut(),
+            running_var.data(),
+            eps,
         );
+        let mut out = xv.clone();
+        conv_epilogue(out.data_mut(), c, hw, None, Some(&affine), Act::None);
+        let ivstd = affine.ivstd;
         self.record(
             "batch_norm2d_eval",
             &[x, gamma, beta],
@@ -426,7 +427,7 @@ impl Graph {
                     c,
                     hw,
                     mean.data(),
-                    ivstd.data(),
+                    &ivstd,
                     gamma_v.data(),
                     grads[x.0].data_mut(),
                     ggamma.data_mut(),

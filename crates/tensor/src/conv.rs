@@ -1,17 +1,33 @@
-//! 2-D convolution via im2col + GEMM, with batch-parallel forward and
-//! backward passes.
+//! 2-D convolution via im2col + GEMM: the one conv kernel of the tape,
+//! `TrainPlan` and `InferPlan`.
 //!
-//! This module owns the column layout (`im2col` / `col2im`, shared with
-//! both compiled plans) and the tape's `conv2d`; the three GEMMs are
-//! [`crate::simd`]'s exact kernels: `exact_gemm` forward,
-//! `exact_gemm_nt` grad-weight and `exact_gemm_tn_over` grad-input.
+//! This module owns every step of a convolution's arithmetic:
 //!
-//! Both passes partition the batch into [`crate::parallel::groups_for`]
+//! - the column layout ([`im2col`] / [`col2im`]);
+//! - one sample's forward, [`conv_forward_sample`] (`im2col`, then
+//!   [`crate::simd`]'s `exact_gemm`), which `InferPlan` calls per sample;
+//! - the batched forward and backward fan-outs, [`conv_forward`] and
+//!   [`conv_backward`], which the tape's `conv2d` and `TrainPlan` call
+//!   (`exact_gemm_nt` grad-weight, `exact_gemm_tn_over` + `col2im`
+//!   grad-input);
+//! - the fused epilogue, [`conv_epilogue`]: bias, eval batch norm and
+//!   activation in one in-place pass, which both plans call for their
+//!   fused convs and the tape for `add_bias_channel` and
+//!   `batch_norm2d_eval`; and the bias gradient, [`bias_grad`].
+//!
+//! Both fan-outs partition the batch into [`crate::parallel::groups_for`]
 //! fixed groups — a function of the batch size only, never the
 //! machine's core count — and reduce per-group partials in group order,
 //! so results are bitwise identical whatever the thread budget.
 
-use crate::graph::{Graph, VarId};
+use std::sync::Mutex;
+
+use crate::arena::{self, ScratchBuf};
+use crate::bnorm::BnAffine;
+use crate::graph::{leaky, relu, Graph, VarId};
+use crate::parallel;
+use crate::plan::Act;
+use crate::plan_meta::ConvGeom;
 use crate::shape::conv_out_dim;
 use crate::simd::{exact_gemm, exact_gemm_nt, exact_gemm_tn_over};
 use crate::tensor::Tensor;
@@ -126,6 +142,216 @@ pub(crate) fn col2im(
     }
 }
 
+/// One sample's convolution: unfolds `x` (`cin·hin·win`) into `cols`
+/// (at least [`ConvGeom::cols_len`] long), then overwrites `out`
+/// (`cout·ho·wo`) with `w × cols`.
+pub(crate) fn conv_forward_sample(
+    g: &ConvGeom,
+    x: &[f32],
+    w: &[f32],
+    cols: &mut [f32],
+    out: &mut [f32],
+) {
+    let cols = &mut cols[..g.cols_len()];
+    im2col(
+        x, g.cin, g.hin, g.win, g.kh, g.kw, g.stride, g.pad, g.ho, g.wo, cols,
+    );
+    exact_gemm(w, cols, out, g.cout, g.cin * g.kh * g.kw, g.ho * g.wo);
+}
+
+/// Batched convolution of `n` samples of `x` into `out` (overwritten):
+/// [`conv_forward_sample`] per sample, the samples in fixed
+/// `groups_for(n)` groups. With `cols_cache` (`n` column matrices),
+/// each sample's columns are built there and kept for the backward.
+pub(crate) fn conv_forward(
+    g: &ConvGeom,
+    n: usize,
+    x: &[f32],
+    w: &[f32],
+    out: &mut [f32],
+    cols_cache: Option<&mut [f32]>,
+) {
+    let (in_len, out_len, cols_len) = (g.cin * g.hin * g.win, g.cout * g.ho * g.wo, g.cols_len());
+    let per = n.div_ceil(parallel::groups_for(n));
+    let xs = |gi: usize, li: usize| {
+        let ni = gi * per + li;
+        &x[ni * in_len..(ni + 1) * in_len]
+    };
+    match cols_cache {
+        Some(cache) => parallel::for_each_chunk2_mut(
+            out,
+            cache,
+            per * out_len,
+            per * cols_len,
+            |gi, oc, cc| {
+                let samples = oc.chunks_mut(out_len).zip(cc.chunks_mut(cols_len));
+                for (li, (os, cols)) in samples.enumerate() {
+                    conv_forward_sample(g, xs(gi, li), w, cols, os);
+                }
+            },
+        ),
+        None => parallel::for_each_chunk_mut(out, per * out_len, |gi, oc| {
+            let mut cols = ScratchBuf::zeroed(cols_len);
+            for (li, os) in oc.chunks_mut(out_len).enumerate() {
+                conv_forward_sample(g, xs(gi, li), w, &mut cols, os);
+            }
+        }),
+    }
+}
+
+/// Batched convolution backward of `n` samples: `gout` is the output
+/// gradient, `x` and `w` the forward's input and weight.
+///
+/// - `gw`: grad-weight target. Each group sums its samples'
+///   `gout × colsᵀ` over the columns in `cols_cache` (or rebuilt with
+///   `im2col` when there is none); the partials are then added into
+///   `gw` in group order.
+/// - `gx`: grad-input target and whether to scatter into it directly.
+///   Each sample's `wᵀ × gout` is `col2im`-scattered straight into the
+///   target when `direct` (the target then holds no other contribution
+///   yet), else into a temporary that is added to it afterwards.
+///   Starting from zeros, both routes give the same bits.
+///
+/// Does nothing when neither target is given.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_backward(
+    g: &ConvGeom,
+    n: usize,
+    gout: &[f32],
+    x: &[f32],
+    w: &[f32],
+    cols_cache: Option<&[f32]>,
+    gw: Option<&mut [f32]>,
+    gx: Option<(&mut [f32], bool)>,
+) {
+    if gw.is_none() && gx.is_none() {
+        return;
+    }
+    let (in_len, out_len, cols_len) = (g.cin * g.hin * g.win, g.cout * g.ho * g.wo, g.cols_len());
+    let (o, ckk, howo) = (g.cout, g.cin * g.kh * g.kw, g.ho * g.wo);
+    let per = n.div_ceil(parallel::groups_for(n));
+    let need_gw = gw.is_some();
+    let (mut gx_target, mut gx_tmp) = match gx {
+        Some((t, direct)) => (Some(t), (!direct).then(|| arena::take(n * in_len))),
+        None => (None, None),
+    };
+    let partials = {
+        let gx_cells: Vec<Mutex<Option<&mut [f32]>>> = gx_tmp
+            .as_deref_mut()
+            .or(gx_target.as_deref_mut())
+            .into_iter()
+            .flat_map(|d| d.chunks_mut(per * in_len))
+            .map(|ch| Mutex::new(Some(ch)))
+            .collect();
+        parallel::run_indexed(n.div_ceil(per), |gi| {
+            let mut gx_chunk = gx_cells.get(gi).map(|cell| {
+                cell.lock()
+                    .expect("conv gx cell poisoned")
+                    .take()
+                    .expect("conv gx chunk taken twice")
+            });
+            let mut gw_part = need_gw.then(|| arena::take(o * ckk));
+            let mut scratch =
+                (need_gw && cols_cache.is_none()).then(|| ScratchBuf::zeroed(cols_len));
+            let mut gcols = gx_chunk.is_some().then(|| ScratchBuf::zeroed(cols_len));
+            for li in 0..per.min(n - gi * per) {
+                let ni = gi * per + li;
+                let gs = &gout[ni * out_len..(ni + 1) * out_len];
+                if let Some(gw_part) = gw_part.as_mut() {
+                    let cols = match (cols_cache, scratch.as_deref_mut()) {
+                        (Some(cc), _) => &cc[ni * cols_len..(ni + 1) * cols_len],
+                        (None, Some(sc)) => {
+                            let xs = &x[ni * in_len..(ni + 1) * in_len];
+                            im2col(
+                                xs, g.cin, g.hin, g.win, g.kh, g.kw, g.stride, g.pad, g.ho, g.wo,
+                                sc,
+                            );
+                            sc
+                        }
+                        (None, None) => unreachable!("column scratch taken when uncached"),
+                    };
+                    exact_gemm_nt(gs, cols, gw_part, o, howo, ckk);
+                }
+                if let (Some(gxc), Some(gc)) = (gx_chunk.as_deref_mut(), gcols.as_deref_mut()) {
+                    let gxs = &mut gxc[li * in_len..(li + 1) * in_len];
+                    exact_gemm_tn_over(w, gs, gc, o, ckk, howo);
+                    col2im(
+                        gc, g.cin, g.hin, g.win, g.kh, g.kw, g.stride, g.pad, g.ho, g.wo, gxs,
+                    );
+                }
+            }
+            gw_part
+        })
+    };
+    if let (Some(tmp), Some(target)) = (gx_tmp, gx_target) {
+        for (dst, &src) in target.iter_mut().zip(&tmp) {
+            *dst += src;
+        }
+        arena::recycle(tmp);
+    }
+    if let Some(gw) = gw {
+        for part in partials.into_iter().flatten() {
+            for (dst, &src) in gw.iter_mut().zip(&part) {
+                *dst += src;
+            }
+            arena::recycle(part);
+        }
+    }
+}
+
+/// A fused conv's epilogue, in place over `out` (samples of `c` planes
+/// of `hw`): per element `v + bias`, then `v·scale + shift` with the
+/// eval batch norm's per-channel affine, then the activation — each
+/// stage only when present, all in one pass.
+pub(crate) fn conv_epilogue(
+    out: &mut [f32],
+    c: usize,
+    hw: usize,
+    bias: Option<&[f32]>,
+    bn: Option<&BnAffine>,
+    act: Act,
+) {
+    if bias.is_none() && bn.is_none() && act == Act::None {
+        return;
+    }
+    match act {
+        Act::None => epilogue(out, c, hw, bias, bn, |t| t),
+        Act::Leaky(alpha) => epilogue(out, c, hw, bias, bn, |t| leaky(t, alpha)),
+        Act::Relu => epilogue(out, c, hw, bias, bn, relu),
+    }
+}
+
+/// [`conv_epilogue`] with the activation `act` resolved, so each
+/// plane's loop carries no branch but the activation's own.
+fn epilogue(
+    out: &mut [f32],
+    c: usize,
+    hw: usize,
+    bias: Option<&[f32]>,
+    bn: Option<&BnAffine>,
+    act: impl Fn(f32) -> f32,
+) {
+    for (plane, seg) in out.chunks_mut(hw).enumerate() {
+        let ch = plane % c;
+        let add = bias.map(|b| b[ch]);
+        let affine = bn.map(|bn| (bn.scale[ch], bn.shift[ch]));
+        match (add, affine) {
+            (None, None) => seg.iter_mut().for_each(|v| *v = act(*v)),
+            (Some(b), None) => seg.iter_mut().for_each(|v| *v = act(*v + b)),
+            (None, Some((s, t))) => seg.iter_mut().for_each(|v| *v = act(*v * s + t)),
+            (Some(b), Some((s, t))) => seg.iter_mut().for_each(|v| *v = act((*v + b) * s + t)),
+        }
+    }
+}
+
+/// Bias gradient of samples of `c` planes of `hw`: each plane's sum of
+/// `g`, added into `gb[channel]` one sample at a time.
+pub(crate) fn bias_grad(g: &[f32], c: usize, hw: usize, gb: &mut [f32]) {
+    for (plane, seg) in g.chunks(hw).enumerate() {
+        gb[plane % c] += seg.iter().sum::<f32>();
+    }
+}
+
 impl Graph {
     /// 2-D convolution `x:[N,C,H,W] * w:[O,C,kh,kw] -> [N,O,Ho,Wo]` with an
     /// optional per-channel bias.
@@ -168,124 +394,43 @@ impl Graph {
             h + 2 * pad >= kh && wd + 2 * pad >= kw,
             "kernel larger than input"
         );
-        let ho = (h + 2 * pad - kh) / stride + 1;
-        let wo = (wd + 2 * pad - kw) / stride + 1;
-        let ckk = c * kh * kw;
-        let howo = ho * wo;
-
-        // Fixed batch partition: groups depend only on `n`, and the
-        // worker pool never spawns more threads than groups (so small
-        // batches pay no spawn overhead for idle workers).
-        let per = n.div_ceil(crate::parallel::groups_for(n));
-        let mut out = Tensor::zeros(&[n, o, ho, wo]);
-        {
-            let xd = xv.data();
-            let wd_flat = wv.data();
-            crate::parallel::for_each_chunk_mut(out.data_mut(), per * o * howo, |gi, chunk| {
-                let start = gi * per;
-                let mut cols = crate::arena::ScratchBuf::zeroed(ckk * howo);
-                for (li, oslice) in chunk.chunks_mut(o * howo).enumerate() {
-                    let ni = start + li;
-                    im2col(
-                        &xd[ni * c * h * wd..(ni + 1) * c * h * wd],
-                        c,
-                        h,
-                        wd,
-                        kh,
-                        kw,
-                        stride,
-                        pad,
-                        ho,
-                        wo,
-                        &mut cols,
-                    );
-                    exact_gemm(wd_flat, &cols, oslice, o, ckk, howo);
-                }
-            });
-        }
+        let geom = ConvGeom {
+            stride,
+            pad,
+            cin: c,
+            hin: h,
+            win: wd,
+            cout: o,
+            kh,
+            kw,
+            ho: (h + 2 * pad - kh) / stride + 1,
+            wo: (wd + 2 * pad - kw) / stride + 1,
+        };
+        let mut out = Tensor::zeros(&[n, o, geom.ho, geom.wo]);
+        conv_forward(&geom, n, xv.data(), wv.data(), out.data_mut(), None);
         let out = self.record(
             "conv2d",
             &[x, w],
             &attrs,
             out,
             Some(Box::new(move |g, vals, grads| {
-                let xd = vals[x.0].data();
-                let wd_flat = vals[w.0].data();
-                let gd = g.data();
-                // Same fixed partition as the forward pass. Each group
-                // writes a disjoint slice of the input gradient and
-                // returns a partial weight gradient; the partials are
-                // reduced in group order on the calling thread, which
-                // makes the accumulation bitwise thread-count-invariant.
-                let per = n.div_ceil(crate::parallel::groups_for(n));
-                // When this conv is (so far) the sole contributor to its
+                // While this conv is (so far) the sole contributor to its
                 // input's gradient — the entry is still all-zero — the
-                // groups scatter straight into `grads[x.0]`, skipping the
-                // gx temporary and the add pass. Starting from the same
-                // zeros, col2im performs the identical accumulation
-                // sequence either way, so both routes are bitwise equal.
+                // backward scatters straight into it.
                 let sole = grads[x.0].data().iter().all(|&v| v == 0.0);
-                let mut gx_tmp = if sole {
-                    None
-                } else {
-                    Some(Tensor::zeros(&[n, c, h, wd]))
-                };
-                let gw_partials: Vec<Vec<f32>> = {
-                    let gx_data: &mut [f32] = match gx_tmp.as_mut() {
-                        Some(t) => t.data_mut(),
-                        None => grads[x.0].data_mut(),
-                    };
-                    let gx_slots: Vec<std::sync::Mutex<Option<&mut [f32]>>> = gx_data
-                        .chunks_mut(per * c * h * wd)
-                        .map(|chunk| std::sync::Mutex::new(Some(chunk)))
-                        .collect();
-                    crate::parallel::run_indexed(gx_slots.len(), |gi| {
-                        let gx_chunk = gx_slots[gi]
-                            .lock()
-                            .expect("conv2d gx slot poisoned")
-                            .take()
-                            .expect("conv2d gx chunk taken twice");
-                        let mut gw = crate::arena::take(o * ckk);
-                        let mut cols = crate::arena::ScratchBuf::zeroed(ckk * howo);
-                        let mut gcols = crate::arena::ScratchBuf::zeroed(ckk * howo);
-                        for (li, gx_slice) in gx_chunk.chunks_mut(c * h * wd).enumerate() {
-                            let ni = gi * per + li;
-                            let gslice = &gd[ni * o * howo..(ni + 1) * o * howo];
-                            im2col(
-                                &xd[ni * c * h * wd..(ni + 1) * c * h * wd],
-                                c,
-                                h,
-                                wd,
-                                kh,
-                                kw,
-                                stride,
-                                pad,
-                                ho,
-                                wo,
-                                &mut cols,
-                            );
-                            // gw += g_n [o,howo] * cols^T [howo,ckk]
-                            exact_gemm_nt(gslice, &cols, &mut gw, o, howo, ckk);
-                            // gcols = w^T [ckk,o] * g_n [o,howo]; overwrite
-                            // mode fully writes the buffer, so no zeroing
-                            // pass between samples.
-                            exact_gemm_tn_over(wd_flat, gslice, &mut gcols, o, ckk, howo);
-                            col2im(&gcols, c, h, wd, kh, kw, stride, pad, ho, wo, gx_slice);
-                        }
-                        gw
-                    })
-                };
-                if let Some(gx) = gx_tmp {
-                    grads[x.0].add_scaled_assign(&gx, 1.0);
-                    crate::arena::recycle(gx.into_vec());
-                }
-                let gwt = grads[w.0].data_mut();
-                for part in gw_partials {
-                    for (dst, &src) in gwt.iter_mut().zip(part.iter()) {
-                        *dst += src;
-                    }
-                    crate::arena::recycle(part);
-                }
+                let [gx, gw] = grads
+                    .get_disjoint_mut([x.0, w.0])
+                    .expect("conv2d input and weight are distinct nodes");
+                conv_backward(
+                    &geom,
+                    n,
+                    g.data(),
+                    vals[x.0].data(),
+                    vals[w.0].data(),
+                    None,
+                    Some(gw.data_mut()),
+                    Some((gx.data_mut(), sole)),
+                );
             })),
         );
         match bias {

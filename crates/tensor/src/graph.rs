@@ -26,7 +26,10 @@
 //! assert_eq!(grads.get(x).data(), &[4.0, -6.0]); // d(x^2)/dx = 2x
 //! ```
 
+use crate::conv::{bias_grad, conv_epilogue};
 use crate::params::{ParamId, ParamSet};
+use crate::plan::Act;
+use crate::simd::exact_gemm;
 use crate::tensor::Tensor;
 
 /// Handle to a node on the tape.
@@ -604,7 +607,9 @@ impl Graph {
         if self.shape_only {
             return self.declare_like("relu", &[a], &[]);
         }
-        let v = self.values[a.0].map(|x| x.max(0.0));
+        let x = &self.values[a.0];
+        let mut v = Tensor::zeros(x.shape());
+        relu_forward(x.data(), v.data_mut());
         self.record(
             "relu",
             &[a],
@@ -624,15 +629,16 @@ impl Graph {
         if self.shape_only {
             return self.declare_like("leaky_relu", &[a], &attrs);
         }
-        let v = self.values[a.0].map(|x| if x > 0.0 { x } else { alpha * x });
+        let x = &self.values[a.0];
+        let mut v = Tensor::zeros(x.shape());
+        leaky_forward(x.data(), alpha, v.data_mut());
         self.record(
             "leaky_relu",
             &[a],
             &attrs,
             v,
             Some(Box::new(move |g, vals, grads| {
-                let ga = g.zip_map(&vals[a.0], |gv, x| if x > 0.0 { gv } else { alpha * gv });
-                grads[a.0].add_scaled_assign(&ga, 1.0);
+                leaky_backward(g.data(), vals[a.0].data(), alpha, grads[a.0].data_mut());
             })),
         )
     }
@@ -642,7 +648,9 @@ impl Graph {
         if self.shape_only {
             return self.declare_like("sigmoid", &[a], &[]);
         }
-        let v = self.values[a.0].map(|x| 1.0 / (1.0 + (-x).exp()));
+        let x = &self.values[a.0];
+        let mut v = Tensor::zeros(x.shape());
+        sigmoid_forward(x.data(), v.data_mut());
         let out = self.record("sigmoid", &[a], &[], v, None);
         let o = out.0;
         self.backs[o] = Some(Box::new(move |g, vals, grads| {
@@ -774,31 +782,17 @@ impl Graph {
         let cb = xb.shape()[1];
         assert_eq!(&xb.shape()[2..], &[h, w], "spatial dims must match");
         assert_eq!(xb.shape()[0], n, "batch dims must match");
-        let hw = h * w;
+        let (la, lb) = (ca * h * w, cb * h * w);
         let mut out = Tensor::zeros(&[n, ca + cb, h, w]);
-        for i in 0..n {
-            let dst = &mut out.data_mut()[i * (ca + cb) * hw..];
-            dst[..ca * hw].copy_from_slice(&xa.data()[i * ca * hw..(i + 1) * ca * hw]);
-            dst[ca * hw..(ca + cb) * hw]
-                .copy_from_slice(&xb.data()[i * cb * hw..(i + 1) * cb * hw]);
-        }
+        concat_forward(xa.data(), xb.data(), la, lb, out.data_mut());
         self.record(
             "concat_channels",
             &[a, b],
             &[],
             out,
             Some(Box::new(move |g, _vals, grads| {
-                for i in 0..n {
-                    let src = &g.data()[i * (ca + cb) * hw..];
-                    let ga = &mut grads[a.0];
-                    for j in 0..ca * hw {
-                        ga.data_mut()[i * ca * hw + j] += src[j];
-                    }
-                    let gb = &mut grads[b.0];
-                    for j in 0..cb * hw {
-                        gb.data_mut()[i * cb * hw + j] += src[ca * hw + j];
-                    }
-                }
+                concat_backward(g.data(), 0, la, la + lb, grads[a.0].data_mut());
+                concat_backward(g.data(), la, lb, la + lb, grads[b.0].data_mut());
             })),
         )
     }
@@ -925,14 +919,9 @@ impl Graph {
         let (o, i2) = (wv.shape()[0], wv.shape()[1]);
         assert_eq!(i, i2, "linear: input dim mismatch");
         assert_eq!(bv.len(), o, "linear: bias dim mismatch");
-        let mut v = xv.matmul(&wv.transpose2d());
-        for r in 0..n {
-            for c in 0..o {
-                let idx = r * o + c;
-                let add = bv.data()[c];
-                v.data_mut()[idx] += add;
-            }
-        }
+        let mut v = Tensor::zeros(&[n, o]);
+        let wt = wv.transpose2d();
+        linear_forward(xv.data(), wt.data(), bv.data(), n, i, o, v.data_mut());
         self.record(
             "linear",
             &[x, w, b],
@@ -961,19 +950,10 @@ impl Graph {
         let xv = &self.values[x.0];
         let bv = &self.values[b.0];
         assert_eq!(xv.shape().len(), 4);
-        let (n, c, h, w) = (xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]);
+        let (c, hw) = (xv.shape()[1], xv.shape()[2] * xv.shape()[3]);
         assert_eq!(bv.len(), c, "bias length must equal channel count");
-        let hw = h * w;
         let mut v = xv.clone();
-        for i in 0..n {
-            for ch in 0..c {
-                let add = bv.data()[ch];
-                let off = (i * c + ch) * hw;
-                for o in &mut v.data_mut()[off..off + hw] {
-                    *o += add;
-                }
-            }
-        }
+        conv_epilogue(v.data_mut(), c, hw, Some(bv.data()), None, Act::None);
         self.record(
             "add_bias_channel",
             &[x, b],
@@ -981,16 +961,98 @@ impl Graph {
             v,
             Some(Box::new(move |g, _vals, grads| {
                 grads[x.0].add_scaled_assign(g, 1.0);
-                let gb = &mut grads[b.0];
-                for i in 0..n {
-                    for ch in 0..c {
-                        let off = (i * c + ch) * hw;
-                        let s: f32 = g.data()[off..off + hw].iter().sum();
-                        gb.data_mut()[ch] += s;
-                    }
-                }
+                bias_grad(g.data(), c, hw, grads[b.0].data_mut());
             })),
         )
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Kernels: the one spelling of these ops' arithmetic. The tape ops above,
+// `TrainPlan` and `InferPlan` all call them.
+// ---------------------------------------------------------------------------
+
+/// Leaky ReLU, `x > 0 ? x : α·x`.
+#[inline]
+pub(crate) fn leaky(x: f32, alpha: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        alpha * x
+    }
+}
+
+/// ReLU, `max(x, 0)`.
+#[inline]
+pub(crate) fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+/// `out[i] = leaky(x[i])`.
+pub(crate) fn leaky_forward(x: &[f32], alpha: f32, out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = leaky(v, alpha);
+    }
+}
+
+/// `out[i] = relu(x[i])`.
+pub(crate) fn relu_forward(x: &[f32], out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = relu(v);
+    }
+}
+
+/// `out[i] = 1 / (1 + exp(−x[i]))`.
+pub(crate) fn sigmoid_forward(x: &[f32], out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = 1.0 / (1.0 + (-v).exp());
+    }
+}
+
+/// Leaky ReLU backward from the input's sign:
+/// `gx[i] += x[i] > 0 ? g[i] : α·g[i]`.
+pub(crate) fn leaky_backward(g: &[f32], x: &[f32], alpha: f32, gx: &mut [f32]) {
+    for ((d, &gv), &xv) in gx.iter_mut().zip(g).zip(x) {
+        *d += if xv > 0.0 { gv } else { alpha * gv };
+    }
+}
+
+/// Channel concat forward: per sample, `a`'s `la` values, then `b`'s
+/// `lb`.
+pub(crate) fn concat_forward(a: &[f32], b: &[f32], la: usize, lb: usize, out: &mut [f32]) {
+    for ((o, sa), sb) in out.chunks_mut(la + lb).zip(a.chunks(la)).zip(b.chunks(lb)) {
+        o[..la].copy_from_slice(sa);
+        o[la..].copy_from_slice(sb);
+    }
+}
+
+/// Channel concat backward of one input: adds values `[off, off + len)`
+/// of each sample's `total`-long output gradient into that input's
+/// gradient `g`, sample by sample.
+pub(crate) fn concat_backward(gout: &[f32], off: usize, len: usize, total: usize, g: &mut [f32]) {
+    for (gs, src) in g.chunks_mut(len).zip(gout.chunks(total)) {
+        for (d, &v) in gs.iter_mut().zip(&src[off..off + len]) {
+            *d += v;
+        }
+    }
+}
+
+/// Linear layer forward for `n` rows: `out = x × wt`, with `wt` the
+/// transposed weight (`in_dim × out_dim`), then each row's bias.
+pub(crate) fn linear_forward(
+    x: &[f32],
+    wt: &[f32],
+    b: &[f32],
+    n: usize,
+    in_dim: usize,
+    out_dim: usize,
+    out: &mut [f32],
+) {
+    exact_gemm(x, wt, out, n, in_dim, out_dim);
+    for row in out.chunks_mut(out_dim) {
+        for (o, &bv) in row.iter_mut().zip(b) {
+            *o += bv;
+        }
     }
 }
 

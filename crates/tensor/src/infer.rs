@@ -22,32 +22,35 @@
 //!
 //! ## Bitwise equivalence with the tape
 //!
-//! The executor processes each batch sample independently, with the
-//! same inner-loop order as the tape kernels. That is exactly how the
-//! tape's own batch kernels work — `conv2d` runs per-sample
-//! im2col + GEMM, eval batch-norm applies per-channel affine constants
-//! computed once from the running stats, pooling/upsampling fill
-//! per-plane, concat and bias are per-sample/per-channel copies — so a
-//! per-sample compiled execution is bitwise identical to a batched tape
-//! forward. The fused conv+bn(+leaky) kernel preserves the f32 sequence
-//! of the unfused ops (GEMM accumulate into a zeroed buffer, then
-//! `x*scale + shift`, then the branchy leaky), never algebraically
-//! folding the batch-norm into the convolution weights. Group
-//! partitioning only decides *which thread* computes a sample, not the
-//! sample's arithmetic, so results are identical at any thread count —
-//! and `batched(N)` trivially equals `N` batch-1 calls.
+//! The executor keeps only the op dispatch, the slot routing and its
+//! schedule; each op's arithmetic is the one kernel the tape calls too
+//! (one kernel per op): `crate::conv`'s per-sample conv and its
+//! epilogue (bias, eval batch norm as the per-channel affine of
+//! `crate::bnorm`, activation, in one in-place pass), `crate::pool`'s
+//! per-plane max-pool and upsample, and the activation, concat and
+//! linear kernels of `crate::graph`. Every one of them treats samples
+//! independently, so one sample through a kernel gives the bits of
+//! that sample in the tape's batched call, and a per-sample execution
+//! is bitwise identical to a batched tape forward. The batch norm is
+//! never folded into the convolution weights. Group partitioning only
+//! decides *which thread* computes a sample, not the sample's
+//! arithmetic, so results are identical at any thread count — and
+//! `batched(N)` trivially equals `N` batch-1 calls.
 
 use std::sync::Mutex;
 
 use crate::arena;
-use crate::conv::im2col;
-use crate::graph::{Graph, VarId};
+use crate::bnorm::{bn_eval_affine, BnAffine};
+use crate::conv::{conv_epilogue, conv_forward_sample};
+use crate::graph::{
+    concat_forward, leaky_forward, linear_forward, relu_forward, sigmoid_forward, Graph, VarId,
+};
 use crate::parallel;
 use crate::params::ParamSet;
-use crate::plan::{self, Act, OpKind, Plan};
-use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
+use crate::plan::{self, Conv, OpKind, Plan};
+use crate::plan_meta::{PlanKind, PlanMeta};
+use crate::pool::{max_pool_plane, upsample2x_plane};
 use crate::profile;
-use crate::simd::exact_gemm;
 use crate::tensor::Tensor;
 
 /// A compiled, grad-free execution plan: the shared `crate::plan`
@@ -103,105 +106,21 @@ impl InferPlan {
     }
 
     /// Runs one sample already copied into `bufs`' input slot.
-    fn exec_sample(&self, ps: &ParamSet, derived: &[Option<Vec<f32>>], bufs: &mut GroupBufs) {
-        for (oi, op) in self.ir.ops.iter().enumerate() {
+    fn exec_sample(&self, ps: &ParamSet, derived: &[Derived], bufs: &mut GroupBufs) {
+        for (op, derived) in self.ir.ops.iter().zip(derived) {
             let t0 = profile::enabled().then(std::time::Instant::now);
             match &op.kind {
                 OpKind::Conv(c) => {
-                    let ConvGeom {
-                        stride,
-                        pad,
-                        cin,
-                        hin,
-                        win,
-                        cout,
-                        kh,
-                        kw,
-                        ho,
-                        wo,
-                    } = c.geom;
                     let mut out = std::mem::take(&mut bufs.slots[c.out]);
-                    let mut cols = std::mem::take(&mut bufs.cols);
-                    let ckk = cin * kh * kw;
-                    let howo = ho * wo;
-                    im2col(
-                        &bufs.slots[c.x],
-                        cin,
-                        hin,
-                        win,
-                        kh,
-                        kw,
-                        stride,
-                        pad,
-                        ho,
-                        wo,
-                        &mut cols[..ckk * howo],
-                    );
-                    exact_gemm(
-                        ps.get(c.w).value().data(),
-                        &cols[..ckk * howo],
-                        &mut out,
-                        cout,
-                        ckk,
-                        howo,
-                    );
-                    if let Some(b) = c.bias {
-                        let bv = ps.get(b).value().data();
-                        for ch in 0..cout {
-                            let add = bv[ch];
-                            for v in &mut out[ch * howo..(ch + 1) * howo] {
-                                *v += add;
-                            }
-                        }
-                    }
-                    if let Some(bn) = &c.bn {
-                        let gv = ps.get(bn.gamma).value().data();
-                        let bev = ps.get(bn.beta).value().data();
-                        let rm = ps.get(bn.rmean).value().data();
-                        let rv = ps.get(bn.rvar).value().data();
-                        for ch in 0..cout {
-                            // same f32 sequence as the tape's eval bnorm
-                            let ivstd = 1.0 / (rv[ch] + bn.eps).sqrt();
-                            let scale = gv[ch] * ivstd;
-                            let shift = bev[ch] - rm[ch] * scale;
-                            let seg = &mut out[ch * howo..(ch + 1) * howo];
-                            match c.act {
-                                Act::Leaky(alpha) => {
-                                    for v in seg {
-                                        let t = *v * scale + shift;
-                                        *v = if t > 0.0 { t } else { alpha * t };
-                                    }
-                                }
-                                // same f32 sequence as the tape's relu map
-                                Act::Relu => {
-                                    for v in seg {
-                                        *v = (*v * scale + shift).max(0.0);
-                                    }
-                                }
-                                Act::None => {
-                                    for v in seg {
-                                        *v = *v * scale + shift;
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        match c.act {
-                            Act::Leaky(alpha) => {
-                                for v in out.iter_mut() {
-                                    let t = *v;
-                                    *v = if t > 0.0 { t } else { alpha * t };
-                                }
-                            }
-                            Act::Relu => {
-                                for v in out.iter_mut() {
-                                    *v = v.max(0.0);
-                                }
-                            }
-                            Act::None => {}
-                        }
-                    }
-                    bufs.cols = cols;
+                    let w = ps.get(c.w).value().data();
+                    conv_forward_sample(&c.geom, &bufs.slots[c.x], w, &mut bufs.cols, &mut out);
+                    let bias = c.bias.map(|b| ps.get(b).value().data());
+                    let bn = match derived {
+                        Derived::Bn(affine) => Some(affine),
+                        _ => None,
+                    };
+                    let (cout, howo) = (c.geom.cout, c.geom.ho * c.geom.wo);
+                    conv_epilogue(&mut out, cout, howo, bias, bn, c.act);
                     bufs.slots[c.out] = out;
                 }
                 OpKind::MaxPool {
@@ -216,48 +135,19 @@ impl InferPlan {
                     wo,
                 } => {
                     let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    let xs = &bufs.slots[*x];
                     let (hw, howo) = (h * w, ho * wo);
-                    for ch in 0..*c {
-                        let xoff = ch * hw;
-                        let oplane = &mut o[ch * howo..(ch + 1) * howo];
-                        for oh in 0..*ho {
-                            for ow in 0..*wo {
-                                let mut best = f32::NEG_INFINITY;
-                                for ki in 0..*k {
-                                    let ih = oh * stride + ki;
-                                    if ih >= *h {
-                                        continue;
-                                    }
-                                    for kj in 0..*k {
-                                        let iw = ow * stride + kj;
-                                        if iw >= *w {
-                                            continue;
-                                        }
-                                        let v = xs[xoff + ih * w + iw];
-                                        if v > best {
-                                            best = v;
-                                        }
-                                    }
-                                }
-                                oplane[oh * wo + ow] = best;
-                            }
-                        }
+                    let planes = bufs.slots[*x].chunks(hw).zip(o.chunks_mut(howo));
+                    for (xp, op) in planes.take(*c) {
+                        max_pool_plane::<false>(xp, *h, *w, *k, *stride, *ho, *wo, op, &mut []);
                     }
                     bufs.slots[*out] = o;
                 }
                 OpKind::Upsample2x { x, out, c, h, w } => {
                     let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    let xs = &bufs.slots[*x];
-                    let (ho, wo) = (h * 2, w * 2);
-                    let (hw, howo) = (h * w, ho * wo);
-                    for ch in 0..*c {
-                        let oplane = &mut o[ch * howo..(ch + 1) * howo];
-                        for oh in 0..ho {
-                            for ow in 0..wo {
-                                oplane[oh * wo + ow] = xs[ch * hw + (oh / 2) * w + ow / 2];
-                            }
-                        }
+                    let hw = h * w;
+                    let planes = bufs.slots[*x].chunks(hw).zip(o.chunks_mut(hw * 4));
+                    for (xp, op) in planes.take(*c) {
+                        upsample2x_plane(xp, *h, *w, op);
                     }
                     bufs.slots[*out] = o;
                 }
@@ -270,29 +160,23 @@ impl InferPlan {
                     hw,
                 } => {
                     let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    o[..ca * hw].copy_from_slice(&bufs.slots[*a][..ca * hw]);
-                    o[ca * hw..(ca + cb) * hw].copy_from_slice(&bufs.slots[*b][..cb * hw]);
+                    let (la, lb) = (ca * hw, cb * hw);
+                    concat_forward(&bufs.slots[*a][..la], &bufs.slots[*b][..lb], la, lb, &mut o);
                     bufs.slots[*out] = o;
                 }
                 OpKind::Leaky { x, out, alpha, len } => {
                     let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    for (ov, &xv) in o.iter_mut().zip(&bufs.slots[*x][..*len]) {
-                        *ov = if xv > 0.0 { xv } else { alpha * xv };
-                    }
+                    leaky_forward(&bufs.slots[*x][..*len], *alpha, &mut o);
                     bufs.slots[*out] = o;
                 }
                 OpKind::Relu { x, out, len } => {
                     let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    for (ov, &xv) in o.iter_mut().zip(&bufs.slots[*x][..*len]) {
-                        *ov = xv.max(0.0);
-                    }
+                    relu_forward(&bufs.slots[*x][..*len], &mut o);
                     bufs.slots[*out] = o;
                 }
                 OpKind::Sigmoid { x, out, len } => {
                     let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    for (ov, &xv) in o.iter_mut().zip(&bufs.slots[*x][..*len]) {
-                        *ov = 1.0 / (1.0 + (-xv).exp());
-                    }
+                    sigmoid_forward(&bufs.slots[*x][..*len], &mut o);
                     bufs.slots[*out] = o;
                 }
                 OpKind::Linear {
@@ -303,15 +187,20 @@ impl InferPlan {
                     in_dim,
                     out_dim,
                 } => {
+                    let Derived::LinearWeightT(wt) = derived else {
+                        unreachable!("linear op missing derived transposed weight")
+                    };
                     let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    let wt = derived[oi]
-                        .as_ref()
-                        .expect("linear op missing derived transposed weight");
-                    exact_gemm(&bufs.slots[*x][..*in_dim], wt, &mut o, 1, *in_dim, *out_dim);
-                    let bv = ps.get(*b).value().data();
-                    for (ov, &bvv) in o.iter_mut().zip(bv) {
-                        *ov += bvv;
-                    }
+                    let bias = ps.get(*b).value().data();
+                    linear_forward(
+                        &bufs.slots[*x][..*in_dim],
+                        wt,
+                        bias,
+                        1,
+                        *in_dim,
+                        *out_dim,
+                        &mut o,
+                    );
                     bufs.slots[*out] = o;
                 }
             }
@@ -320,6 +209,16 @@ impl InferPlan {
             }
         }
     }
+}
+
+/// What an op reads that one `execute` derives once from the
+/// parameters, for every sample.
+enum Derived {
+    None,
+    /// An eval batch norm's per-channel affine.
+    Bn(BnAffine),
+    /// A linear layer's transposed weight.
+    LinearWeightT(Vec<f32>),
 }
 
 /// Per-worker-group activation buffers, all arena-backed.
@@ -373,13 +272,21 @@ impl<'p> InferExec<'p> {
         let per = n.div_ceil(groups);
         let in_len = ir.slot_lens[ir.input_slot];
 
-        // transposed linear weights are shared, read-only per run
-        let derived: Vec<Option<Vec<f32>>> = ir
+        let derived: Vec<Derived> = ir
             .ops
             .iter()
             .map(|op| match &op.kind {
-                OpKind::Linear { w, .. } => Some(ps.get(*w).value().transpose2d().data().to_vec()),
-                _ => None,
+                OpKind::Conv(Conv { bn: Some(bn), .. }) => Derived::Bn(bn_eval_affine(
+                    ps.get(bn.gamma).value().data(),
+                    ps.get(bn.beta).value().data(),
+                    ps.get(bn.rmean).value().data(),
+                    ps.get(bn.rvar).value().data(),
+                    bn.eps,
+                )),
+                OpKind::Linear { w, .. } => {
+                    Derived::LinearWeightT(ps.get(*w).value().transpose2d().into_vec())
+                }
+                _ => Derived::None,
             })
             .collect();
 

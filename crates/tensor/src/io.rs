@@ -471,20 +471,6 @@ pub fn save_params_file(ps: &ParamSet, path: impl AsRef<Path>) -> std::io::Resul
     atomic_write(path.as_ref(), &encode_params(ps))
 }
 
-/// Loads parameter values from a file into an existing set.
-///
-/// # Errors
-///
-/// Returns an I/O error or a boxed [`DecodeWeightsError`].
-pub fn load_params_file(
-    ps: &mut ParamSet,
-    path: impl AsRef<Path>,
-) -> Result<(), Box<dyn Error + Send + Sync>> {
-    let buf = fs::read(path)?;
-    load_params_into(ps, &buf)?;
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // v2 checkpoints
 // ---------------------------------------------------------------------------
@@ -524,11 +510,6 @@ impl Checkpoint {
     /// An empty checkpoint.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Section names in insertion order (diagnostics).
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
     }
 
     fn put(&mut self, name: impl Into<String>, s: Section) {

@@ -13,7 +13,7 @@
 //! * [`Graph`] — a single-use autodiff tape ([`Graph::backward`] produces
 //!   [`Gradients`]); ops cover conv2d, max-pool, upsample, batch norm,
 //!   activations, losses and sparse [`LinearMap`] warps.
-//! * [`ParamSet`] / [`optim`] — named parameters plus SGD/Adam.
+//! * [`ParamSet`] / [`optim`] — named parameters plus Adam.
 //! * [`io`] — binary weight blobs plus versioned, CRC-guarded training
 //!   checkpoints with atomic writes for crash-safe resume.
 //! * `plan` (crate-private) — the one lowering behind both compiled

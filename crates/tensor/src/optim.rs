@@ -20,74 +20,6 @@ pub enum StepOutcome {
     },
 }
 
-/// Stochastic gradient descent with optional classical momentum.
-///
-/// # Examples
-///
-/// ```
-/// use rd_tensor::{optim::Sgd, ParamSet, Tensor};
-///
-/// let mut ps = ParamSet::new();
-/// let w = ps.register("w", Tensor::from_vec(vec![1.0], &[1]));
-/// ps.get_mut(w).grad_mut().fill(0.5);
-/// let mut opt = Sgd::new(0.1, 0.0);
-/// opt.step(&mut ps);
-/// assert!((ps.get(w).value().data()[0] - 0.95).abs() < 1e-6);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with learning rate `lr` and momentum
-    /// coefficient `momentum` (0 disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate (e.g. for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Applies one update step using the gradients accumulated in `ps`.
-    pub fn step(&mut self, ps: &mut ParamSet) {
-        while self.velocity.len() < ps.len() {
-            let idx = self.velocity.len();
-            let shape = ps
-                .iter()
-                .nth(idx)
-                .map(|(_, p)| p.value().shape().to_vec())
-                .expect("param exists");
-            self.velocity.push(Tensor::zeros(&shape));
-        }
-        for (i, (_, p)) in ps.iter_mut().enumerate() {
-            if self.momentum > 0.0 {
-                let v = &mut self.velocity[i];
-                let updated = v.scale(self.momentum).add(&p.grad().scale(1.0));
-                *v = updated;
-                let vstep = self.velocity[i].clone();
-                p.value_mut().add_scaled_assign(&vstep, -self.lr);
-            } else {
-                let g = p.grad().clone();
-                p.value_mut().add_scaled_assign(&g, -self.lr);
-            }
-        }
-    }
-}
-
 /// A complete snapshot of an [`Adam`] optimizer's state, for
 /// checkpointing and bitwise-identical resume.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,20 +190,6 @@ mod tests {
             step(&mut ps);
         }
         ps.get(w).value().data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        let w = converges(&mut |ps| opt.step(ps));
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.02, 0.9);
-        let w = converges(&mut |ps| opt.step(ps));
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
     }
 
     #[test]

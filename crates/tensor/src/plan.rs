@@ -6,10 +6,10 @@
 //! traced on a [`Graph::shape_only`] tape at batch 1. This module owns that
 //! program ([`Plan`]), the single function that builds it ([`lower`])
 //! and the single function that lifts it into a [`PlanMeta`]
-//! ([`Plan::meta`]). The engines differ only in how they execute it:
+//! ([`Plan::meta`]). The engines differ only in how they schedule it —
 //! `InferPlan` runs each sample through grad-free per-group buffers,
-//! `TrainPlan` runs the full batch with gradient, column-cache and
-//! batch-norm staging buffers.
+//! `TrainPlan` runs the full batch with gradient and column-cache
+//! buffers — and both call the tape's kernel for each op.
 //!
 //! ## Fusion
 //!
@@ -597,15 +597,6 @@ impl Plan {
     /// Largest per-sample im2col column buffer any conv needs.
     pub fn max_cols(&self) -> usize {
         self.convs().map(|c| c.geom.cols_len()).max().unwrap_or(0)
-    }
-
-    /// Largest per-sample raw output of a conv that feeds a batch norm.
-    pub fn max_bn_raw(&self) -> usize {
-        self.convs()
-            .filter(|c| c.bn.is_some())
-            .map(|c| c.geom.cout * c.geom.ho * c.geom.wo)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Per-sample input shape (batch dim stripped).

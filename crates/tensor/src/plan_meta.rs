@@ -180,9 +180,4 @@ impl PlanMeta {
     pub fn num_convs(&self) -> usize {
         self.ops.iter().filter(|o| o.conv.is_some()).count()
     }
-
-    /// Total per-sample activation footprint in `f32` elements.
-    pub fn slot_elems(&self) -> usize {
-        self.slots.iter().map(|s| s.len).sum()
-    }
 }

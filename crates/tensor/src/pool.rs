@@ -1,17 +1,14 @@
 //! Max pooling and nearest-neighbour upsampling.
 //!
-//! Both ops are embarrassingly parallel over `N*C` planes; large
-//! inputs fan the planes out across [`crate::parallel`] in fixed
-//! groups (disjoint output chunks, so determinism is structural).
-//!
-//! The batched forward/backward kernels are free functions shared
-//! between the tape closures here and the full-batch executor of the
-//! compiled training plan (`crate::train_plan`, which runs the shared
-//! `crate::plan` lowering), so the two paths are bitwise identical by
-//! construction — including the serial-vs-parallel gating, which only
-//! decides which thread touches a plane, never its arithmetic. The
-//! per-sample inference executor (`crate::infer`) runs its own
-//! plane loops in the same order.
+//! Both ops are embarrassingly parallel over `N*C` planes. Each has one
+//! per-plane forward kernel, [`max_pool_plane`] and [`upsample2x_plane`]:
+//! `InferPlan` calls them per channel of a sample, and the batched
+//! forwards ([`max_pool_forward`], [`upsample2x_forward`]) that the tape
+//! closures here and `TrainPlan` call run them per plane, fanning large
+//! inputs out across [`crate::parallel`] in fixed groups (disjoint
+//! output chunks, so determinism is structural). The serial-vs-parallel
+//! gating only decides which thread touches a plane, never its
+//! arithmetic.
 
 use crate::graph::{Graph, VarId};
 use crate::tensor::Tensor;
@@ -20,9 +17,54 @@ use crate::tensor::Tensor;
 /// worker-pool bookkeeping would cost more than it saves.
 const PAR_THRESHOLD: usize = 1 << 14;
 
+/// Max-pool forward of one `h×w` plane into `ho×wo`. Each window keeps
+/// the first value `v > best` from `−∞`, so a NaN never wins and an
+/// all-NaN window gives `−∞`; ties pick the first index (darknet
+/// semantics). With `ARGMAX`, the plane-relative index of every
+/// window's winner goes into `argmax`; without, `argmax` is untouched.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn max_pool_plane<const ARGMAX: bool>(
+    x: &[f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    ho: usize,
+    wo: usize,
+    out: &mut [f32],
+    argmax: &mut [u32],
+) {
+    for oh in 0..ho {
+        for ow in 0..wo {
+            let mut best = f32::NEG_INFINITY;
+            let mut best_idx = 0u32;
+            for ki in 0..k {
+                let ih = oh * stride + ki;
+                if ih >= h {
+                    continue;
+                }
+                for kj in 0..k {
+                    let iw = ow * stride + kj;
+                    if iw >= w {
+                        continue;
+                    }
+                    let v = x[ih * w + iw];
+                    if v > best {
+                        best = v;
+                        best_idx = (ih * w + iw) as u32;
+                    }
+                }
+            }
+            out[oh * wo + ow] = best;
+            if ARGMAX {
+                argmax[oh * wo + ow] = best_idx;
+            }
+        }
+    }
+}
+
 /// Batched max-pool forward over `planes = N*C` planes, recording the
-/// plane-relative argmax of every window (ties pick the first index,
-/// darknet semantics).
+/// plane-relative argmax of every window.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn max_pool_forward(
     xd: &[f32],
@@ -39,32 +81,8 @@ pub(crate) fn max_pool_forward(
     let hw = h * w;
     let howo = ho * wo;
     let fill = |nc: usize, oplane: &mut [f32], aplane: &mut [u32]| {
-        let xoff = nc * hw;
-        for oh in 0..ho {
-            for ow in 0..wo {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0u32;
-                for ki in 0..k {
-                    let ih = oh * stride + ki;
-                    if ih >= h {
-                        continue;
-                    }
-                    for kj in 0..k {
-                        let iw = ow * stride + kj;
-                        if iw >= w {
-                            continue;
-                        }
-                        let v = xd[xoff + ih * w + iw];
-                        if v > best {
-                            best = v;
-                            best_idx = (ih * w + iw) as u32;
-                        }
-                    }
-                }
-                oplane[oh * wo + ow] = best;
-                aplane[oh * wo + ow] = best_idx;
-            }
-        }
+        let xplane = &xd[nc * hw..(nc + 1) * hw];
+        max_pool_plane::<true>(xplane, h, w, k, stride, ho, wo, oplane, aplane);
     };
     if planes > 1 && planes * k * k * howo >= PAR_THRESHOLD {
         let per = planes.div_ceil(crate::parallel::groups_for(planes));
@@ -119,18 +137,23 @@ pub(crate) fn max_pool_backward(
     }
 }
 
+/// Nearest-neighbour 2x upsampling of one `h×w` plane into `2h×2w`.
+pub(crate) fn upsample2x_plane(x: &[f32], h: usize, w: usize, out: &mut [f32]) {
+    let wo = w * 2;
+    for oh in 0..h * 2 {
+        for ow in 0..wo {
+            out[oh * wo + ow] = x[(oh / 2) * w + ow / 2];
+        }
+    }
+}
+
 /// Batched nearest-neighbour 2x upsampling forward; `h`/`w` are the
 /// *input* plane dims.
 pub(crate) fn upsample2x_forward(xd: &[f32], planes: usize, h: usize, w: usize, od: &mut [f32]) {
     let hw = h * w;
-    let (ho, wo) = (h * 2, w * 2);
-    let howo = ho * wo;
+    let howo = hw * 4;
     let fill = |nc: usize, oplane: &mut [f32]| {
-        for oh in 0..ho {
-            for ow in 0..wo {
-                oplane[oh * wo + ow] = xd[nc * hw + (oh / 2) * w + ow / 2];
-            }
-        }
+        upsample2x_plane(&xd[nc * hw..(nc + 1) * hw], h, w, oplane);
     };
     if planes > 1 && planes * howo >= PAR_THRESHOLD {
         let per = planes.div_ceil(crate::parallel::groups_for(planes));

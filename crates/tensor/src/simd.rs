@@ -982,7 +982,9 @@ mod tests {
     /// `(out channels, C·kh·kw, Ho·Wo)`: GF/s of the scalar body and the
     /// dispatched exact kernel for the forward, grad-weight and
     /// grad-input GEMMs, as the median and min–max of five timed
-    /// batches. Ignored in normal runs:
+    /// batches. The two kernels' batches alternate, and so does which of
+    /// them goes first, so drift of the host within a run reaches both
+    /// columns alike. Ignored in normal runs:
     /// `cargo test --release -p rd-tensor simd::tests::micro -- --ignored
     /// --nocapture`
     #[test]
@@ -1026,22 +1028,25 @@ mod tests {
                     _ => (&w, &g, ckk * howo, (o, ckk, howo)),
                 };
                 let mut out = vec![0.0f32; len];
-                // GF/s of each of BATCHES timed batches, sorted: one batch
-                // alone swings by 1.5x run to run
-                let gfs = fns.map(|f| {
+                for f in fns {
                     f(a, b, &mut out, dims.0, dims.1, dims.2);
-                    let mut batches = [0.0f64; BATCHES];
-                    for g in &mut batches {
+                }
+                // GF/s of each of BATCHES timed batches per kernel, sorted:
+                // one batch alone swings by 1.5x run to run
+                let mut gfs = [[0.0f64; BATCHES]; 2];
+                for bi in 0..BATCHES {
+                    for ki in [bi % 2, 1 - bi % 2] {
                         let t0 = Instant::now();
                         for _ in 0..reps {
-                            f(a, b, &mut out, dims.0, dims.1, dims.2);
+                            fns[ki](a, b, &mut out, dims.0, dims.1, dims.2);
                         }
                         std::hint::black_box(&out);
-                        *g = flop / t0.elapsed().as_secs_f64() / 1e9;
+                        gfs[ki][bi] = flop / t0.elapsed().as_secs_f64() / 1e9;
                     }
-                    batches.sort_by(f64::total_cmp);
-                    batches
-                });
+                }
+                for g in &mut gfs {
+                    g.sort_by(f64::total_cmp);
+                }
                 let [s, e] = gfs.map(|g| g[BATCHES / 2]);
                 println!(
                     "{name:>5} {kind:>3} m={:4} k={:5} n={:5}: scalar {s:6.2} ({:.2}-{:.2})  \

@@ -31,35 +31,34 @@
 //! ## Bitwise equivalence with the tape
 //!
 //! Every kernel the executor calls is the *same function* the tape
-//! closures call ([`crate::simd`]'s exact GEMMs, [`crate::conv`]'s
-//! im2col/col2im,
-//! [`crate::bnorm`]'s `bn_*` kernels, [`crate::pool`]'s batched
-//! fill/scatter kernels), invoked full-batch in the same op order with
-//! the same fixed [`crate::parallel::groups_for`] partition, and the
-//! backward walks ops in exact reverse tape order accumulating into
-//! zeroed buffers just like [`crate::Graph::backward`]. The only
+//! closures call (one kernel per op): [`crate::conv`]'s batched conv
+//! forward and backward, epilogue and bias gradient, [`crate::bnorm`]'s
+//! `bn_*` kernels, [`crate::pool`]'s batched fill/scatter kernels and
+//! the leaky and concat kernels of `crate::graph`, invoked full-batch
+//! in the same op order with the same fixed
+//! [`crate::parallel::groups_for`] partition. The backward walks ops in
+//! exact reverse tape order accumulating into zeroed buffers just like
+//! [`crate::Graph::backward`]; only the fused conv-leaky backward, which
+//! reads the sign from the output, is the executor's own. The only
 //! deltas are `±0.0` signs from dropped `0.0 + x` folds, which the
 //! downstream scatter-adds re-fold before any gradient escapes — so
 //! compiled-vs-tape identity and 1-vs-N-thread determinism both hold
 //! bit for bit (asserted in `rd-detector`'s `train_compiled` tests and
 //! in `road-decals`' compiled attack test).
 
-use std::sync::Mutex;
-
 use crate::arena;
 use crate::bnorm::{
-    bn_batch_stats, bn_eval_backward, bn_eval_backward_gx_only, bn_eval_forward, bn_ivstd,
+    bn_batch_stats, bn_eval_affine, bn_eval_backward, bn_eval_backward_gx_only, bn_ivstd,
     bn_train_backward_gx, bn_train_backward_sums, bn_train_forward, BatchStats,
 };
-use crate::conv::{col2im, im2col};
-use crate::graph::{Graph, VarId};
+use crate::conv::{bias_grad, conv_backward, conv_epilogue, conv_forward};
+use crate::graph::{concat_backward, concat_forward, leaky_backward, leaky_forward, Graph, VarId};
 use crate::params::{ParamId, ParamSet};
 use crate::plan::{self, Act, Conv, OpKind, Plan};
-use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
+use crate::plan_meta::{PlanKind, PlanMeta};
 use crate::pool::{max_pool_backward, max_pool_forward, upsample2x_backward, upsample2x_forward};
 use crate::profile;
 use crate::runtime::{self, Runtime};
-use crate::simd::{exact_gemm, exact_gemm_nt, exact_gemm_tn_over};
 use crate::tensor::Tensor;
 
 /// Default im2col column-cache budget: 256 MiB of activation memory.
@@ -127,8 +126,8 @@ impl TrainPlan {
     ///
     /// `need_param_grads = false` (frozen network, e.g. the detector
     /// inside the attack loop) skips everything only parameter
-    /// gradients need: the column cache, eval-bn raw staging and, in
-    /// the backward, the grad-weight GEMMs.
+    /// gradients need: the column cache, the eval batch norm's copy of
+    /// the raw conv output and, in the backward, the grad-weight GEMMs.
     ///
     /// # Panics
     ///
@@ -175,153 +174,63 @@ impl TrainPlan {
             }
         }
 
-        // Shared staging buffer for raw conv outputs feeding a batch norm.
-        let mut raw = arena::take(n * self.ir.max_bn_raw());
-
         for (oi, op) in self.ir.ops.iter().enumerate() {
             let t0 = profile::enabled().then(std::time::Instant::now);
             match &op.kind {
                 OpKind::Conv(c) => {
-                    let ConvGeom {
-                        stride,
-                        pad,
-                        cin,
-                        hin,
-                        win,
-                        cout,
-                        kh,
-                        kw,
-                        ho,
-                        wo,
-                    } = c.geom;
-                    let (ckk, howo, o) = (cin * kh * kw, ho * wo, cout);
-                    let in_len = cin * hin * win;
+                    let (o, howo) = (c.geom.cout, c.geom.ho * c.geom.wo);
                     let mut out = std::mem::take(&mut vals[c.out]);
-                    // Eval-bn backward needs the raw conv output when
-                    // parameter gradients are requested; keep a per-op
-                    // copy then instead of the shared scratch.
-                    let keep_raw = matches!(&c.bn, Some(bn) if !bn.train) && need_param_grads;
-                    if keep_raw {
-                        aux[oi].raw = arena::take(n * o * howo);
-                    }
-                    {
-                        let dst: &mut [f32] = if keep_raw {
-                            &mut aux[oi].raw
-                        } else if c.bn.is_some() {
-                            &mut raw[..n * o * howo]
-                        } else {
-                            &mut out
-                        };
-                        let xd = &vals[c.x];
-                        let wd_flat = ps.get(c.w).value().data();
-                        // Same fixed batch partition as the tape's conv2d
-                        // forward: groups depend only on n.
-                        let per = n.div_ceil(crate::parallel::groups_for(n));
-                        let dst_cells: Vec<Mutex<Option<&mut [f32]>>> = dst
-                            .chunks_mut(per * o * howo)
-                            .map(|ch| Mutex::new(Some(ch)))
-                            .collect();
-                        let cache_cells: Option<Vec<Mutex<Option<&mut [f32]>>>> =
-                            cols_cache[oi].as_mut().map(|cb| {
-                                cb.chunks_mut(per * ckk * howo)
-                                    .map(|ch| Mutex::new(Some(ch)))
-                                    .collect()
-                            });
-                        crate::parallel::run_indexed(dst_cells.len(), |gi| {
-                            let chunk = dst_cells[gi]
-                                .lock()
-                                .expect("train conv dst cell poisoned")
-                                .take()
-                                .expect("train conv dst chunk taken twice");
-                            let mut cache_chunk: Option<&mut [f32]> =
-                                cache_cells.as_ref().map(|cells| {
-                                    cells[gi]
-                                        .lock()
-                                        .expect("train conv cache cell poisoned")
-                                        .take()
-                                        .expect("train conv cache chunk taken twice")
-                                });
-                            let mut scratch = if cache_chunk.is_none() {
-                                Some(arena::ScratchBuf::zeroed(ckk * howo))
-                            } else {
-                                None
-                            };
-                            for (li, oslice) in chunk.chunks_mut(o * howo).enumerate() {
-                                let ni = gi * per + li;
-                                let cols: &mut [f32] = match cache_chunk.as_deref_mut() {
-                                    Some(cc) => &mut cc[li * ckk * howo..(li + 1) * ckk * howo],
-                                    None => &mut scratch.as_mut().unwrap()[..],
-                                };
-                                im2col(
-                                    &xd[ni * in_len..(ni + 1) * in_len],
-                                    cin,
-                                    hin,
-                                    win,
-                                    kh,
-                                    kw,
-                                    stride,
-                                    pad,
-                                    ho,
-                                    wo,
-                                    cols,
-                                );
-                                exact_gemm(wd_flat, cols, oslice, o, ckk, howo);
-                            }
-                        });
-                    }
-                    if let Some(b) = c.bias {
-                        // same per-(sample, channel) add as the tape's
-                        // add_bias_channel forward
-                        let bv = ps.get(b).value().data();
-                        for i in 0..n {
-                            for ch in 0..o {
-                                let add = bv[ch];
-                                let off = (i * o + ch) * howo;
-                                for v in &mut out[off..off + howo] {
-                                    *v += add;
-                                }
-                            }
-                        }
-                    }
-                    if let Some(bn) = &c.bn {
-                        let gv = ps.get(bn.gamma).value().data();
-                        let bv = ps.get(bn.beta).value().data();
-                        let a = &mut aux[oi];
-                        a.ivstd = vec![0.0; o];
-                        let src: &[f32] = if keep_raw {
-                            &a.raw
-                        } else {
-                            &raw[..n * o * howo]
-                        };
-                        if bn.train {
+                    let w = ps.get(c.w).value().data();
+                    let cache = cols_cache[oi].as_deref_mut();
+                    let a = &mut aux[oi];
+                    match &c.bn {
+                        Some(bn) if bn.train => {
+                            // the raw conv output is normalized in place
+                            // into the backward's xhat
+                            a.xhat = arena::take(n * o * howo);
+                            conv_forward(&c.geom, n, &vals[c.x], w, &mut a.xhat, cache);
                             let mut mean = Tensor::zeros(&[o]);
                             let mut var = Tensor::zeros(&[o]);
-                            bn_batch_stats(src, n, o, howo, mean.data_mut(), var.data_mut());
+                            bn_batch_stats(&a.xhat, n, o, howo, mean.data_mut(), var.data_mut());
+                            a.ivstd = vec![0.0; o];
                             bn_ivstd(var.data(), bn.eps, &mut a.ivstd);
-                            a.xhat = arena::take(n * o * howo);
                             bn_train_forward(
-                                src,
                                 n,
                                 o,
                                 howo,
                                 mean.data(),
                                 &a.ivstd,
-                                gv,
-                                bv,
+                                ps.get(bn.gamma).value().data(),
+                                ps.get(bn.beta).value().data(),
                                 &mut a.xhat,
                                 &mut out,
                             );
                             bn_stats.push((bn.rmean, bn.rvar, BatchStats { mean, var }));
-                        } else {
-                            a.mean = ps.get(bn.rmean).value().data().to_vec();
-                            bn_ivstd(ps.get(bn.rvar).value().data(), bn.eps, &mut a.ivstd);
-                            bn_eval_forward(src, n, o, howo, &a.mean, &a.ivstd, gv, bv, &mut out);
+                            conv_epilogue(&mut out, o, howo, None, None, c.act);
                         }
-                    }
-                    if let Act::Leaky(alpha) = c.act {
-                        for v in out.iter_mut() {
-                            let t = *v;
-                            *v = if t > 0.0 { t } else { alpha * t };
+                        _ => {
+                            conv_forward(&c.geom, n, &vals[c.x], w, &mut out, cache);
+                            let affine = c.bn.as_ref().map(|bn| {
+                                bn_eval_affine(
+                                    ps.get(bn.gamma).value().data(),
+                                    ps.get(bn.beta).value().data(),
+                                    ps.get(bn.rmean).value().data(),
+                                    ps.get(bn.rvar).value().data(),
+                                    bn.eps,
+                                )
+                            });
+                            if let (Some(bn), true) = (&c.bn, need_param_grads) {
+                                // the eval batch norm's parameter
+                                // gradients read the raw conv output
+                                a.raw = arena::take(out.len());
+                                a.raw.copy_from_slice(&out);
+                                a.mean = ps.get(bn.rmean).value().data().to_vec();
+                            }
+                            let bias = c.bias.map(|b| ps.get(b).value().data());
+                            conv_epilogue(&mut out, o, howo, bias, affine.as_ref(), c.act);
+                            if let Some(affine) = affine {
+                                a.ivstd = affine.ivstd;
+                            }
                         }
                     }
                     vals[c.out] = out;
@@ -367,20 +276,12 @@ impl TrainPlan {
                     hw,
                 } => {
                     let mut o = std::mem::take(&mut vals[*out]);
-                    for i in 0..n {
-                        let doff = i * (ca + cb) * hw;
-                        o[doff..doff + ca * hw]
-                            .copy_from_slice(&vals[*a][i * ca * hw..(i + 1) * ca * hw]);
-                        o[doff + ca * hw..doff + (ca + cb) * hw]
-                            .copy_from_slice(&vals[*b][i * cb * hw..(i + 1) * cb * hw]);
-                    }
+                    concat_forward(&vals[*a], &vals[*b], ca * hw, cb * hw, &mut o);
                     vals[*out] = o;
                 }
                 OpKind::Leaky { x, out, alpha, len } => {
                     let mut o = std::mem::take(&mut vals[*out]);
-                    for (ov, &xv) in o.iter_mut().zip(&vals[*x][..n * len]) {
-                        *ov = if xv > 0.0 { xv } else { alpha * xv };
-                    }
+                    leaky_forward(&vals[*x][..n * len], *alpha, &mut o);
                     vals[*out] = o;
                 }
                 OpKind::Relu { .. } | OpKind::Sigmoid { .. } | OpKind::Linear { .. } => {
@@ -391,8 +292,6 @@ impl TrainPlan {
                 profile::add_sample(&op.path, t0.elapsed().as_nanos() as u64);
             }
         }
-        arena::recycle(raw);
-
         TrainStep {
             plan: self,
             rt,
@@ -419,7 +318,7 @@ struct OpAux {
     xhat: Vec<f32>,
     /// bn: per-channel `1/sqrt(var + eps)`.
     ivstd: Vec<f32>,
-    /// bn-eval: per-channel mean snapshot.
+    /// bn-eval with param grads: per-channel running-mean snapshot.
     mean: Vec<f32>,
     /// bn-eval with param grads: raw conv output.
     raw: Vec<f32>,
@@ -564,33 +463,16 @@ impl TrainStep<'_> {
                     cb,
                     hw,
                 } => {
-                    // exact tape loop: per sample, the a-half then the b-half
                     let gout = std::mem::take(&mut self.grads[*out]);
-                    for i in 0..self.n {
-                        let src = &gout[i * (ca + cb) * hw..];
-                        let ga = &mut self.grads[*a];
-                        for j in 0..ca * hw {
-                            ga[i * ca * hw + j] += src[j];
-                        }
-                        let gb = &mut self.grads[*b];
-                        for j in 0..cb * hw {
-                            gb[i * cb * hw + j] += src[ca * hw + j];
-                        }
-                    }
+                    let (la, lb) = (ca * hw, cb * hw);
+                    concat_backward(&gout, 0, la, la + lb, &mut self.grads[*a]);
+                    concat_backward(&gout, la, lb, la + lb, &mut self.grads[*b]);
                     arena::recycle(gout);
                 }
                 OpKind::Leaky { x, out, alpha, len } => {
                     let gout = std::mem::take(&mut self.grads[*out]);
-                    let xv = &self.vals[*x];
-                    let gx = &mut self.grads[*x];
-                    for i in 0..self.n * len {
-                        let t = if xv[i] > 0.0 {
-                            gout[i]
-                        } else {
-                            alpha * gout[i]
-                        };
-                        gx[i] += t;
-                    }
+                    let xv = &self.vals[*x][..self.n * len];
+                    leaky_backward(&gout, xv, *alpha, &mut self.grads[*x]);
                     arena::recycle(gout);
                 }
                 OpKind::Relu { .. } | OpKind::Sigmoid { .. } | OpKind::Linear { .. } => {
@@ -608,20 +490,7 @@ impl TrainStep<'_> {
     /// with cached columns and the direct-vs-temp `col2im` routing.
     fn conv_backward(&mut self, ps: &ParamSet, oi: usize, c: &Conv, need_input_grad: bool) {
         let n = self.n;
-        let ConvGeom {
-            stride,
-            pad,
-            cin,
-            hin,
-            win,
-            cout,
-            kh,
-            kw,
-            ho,
-            wo,
-        } = c.geom;
-        let (ckk, howo, o) = (cin * kh * kw, ho * wo, cout);
-        let in_len = cin * hin * win;
+        let (o, howo) = (c.geom.cout, c.geom.ho * c.geom.wo);
         let mut gout = std::mem::take(&mut self.grads[c.out]);
 
         if let Act::Leaky(alpha) = c.act {
@@ -679,135 +548,37 @@ impl TrainStep<'_> {
         }
 
         if let (Some(b), true) = (c.bias, self.need_param_grads) {
-            // same per-(sample, channel) partial sums as the tape
-            let pg = pg_buf(&mut self.param_grads, b, o);
-            for i in 0..n {
-                for ch in 0..o {
-                    let off = (i * o + ch) * howo;
-                    let s: f32 = gout[off..off + howo].iter().sum();
-                    pg[ch] += s;
-                }
-            }
+            bias_grad(&gout, o, howo, pg_buf(&mut self.param_grads, b, o));
         }
 
         // conv core: gw needs columns (cached or recomputed), gx needs
         // the weight-transposed GEMM + col2im scatter
         let compute_gx = c.x != self.plan.ir.input_slot || need_input_grad;
-        if self.need_param_grads {
-            if self.cols_cache[oi].is_some() {
+        let cache = self.cols_cache[oi].as_deref();
+        let gw = if self.need_param_grads {
+            if cache.is_some() {
                 self.col_hits += n as u64;
             } else {
                 self.col_misses += n as u64;
             }
-        }
-        if compute_gx || self.need_param_grads {
-            let per = n.div_ceil(crate::parallel::groups_for(n));
-            let ngroups = n.div_ceil(per);
-            let wd_flat = ps.get(c.w).value().data();
-            let xd = &self.vals[c.x];
-            let cache: Option<&[f32]> = self.cols_cache[oi].as_deref();
-            let need_pg = self.need_param_grads;
-            let mut gx_tmp: Option<Vec<f32>> =
-                (compute_gx && !c.gx_direct).then(|| arena::take(n * in_len));
-            let gw_partials: Vec<Option<Vec<f32>>> = {
-                let gx_data: Option<&mut [f32]> = if compute_gx {
-                    Some(match gx_tmp.as_mut() {
-                        Some(t) => &mut t[..],
-                        None => &mut self.grads[c.x],
-                    })
-                } else {
-                    None
-                };
-                let gx_cells: Vec<Mutex<Option<&mut [f32]>>> = match gx_data {
-                    Some(d) => d
-                        .chunks_mut(per * in_len)
-                        .map(|ch| Mutex::new(Some(ch)))
-                        .collect(),
-                    None => Vec::new(),
-                };
-                crate::parallel::run_indexed(ngroups, |gi| {
-                    let mut gx_chunk: Option<&mut [f32]> = if compute_gx {
-                        Some(
-                            gx_cells[gi]
-                                .lock()
-                                .expect("train conv gx cell poisoned")
-                                .take()
-                                .expect("train conv gx chunk taken twice"),
-                        )
-                    } else {
-                        None
-                    };
-                    let mut gw: Option<Vec<f32>> = need_pg.then(|| arena::take(o * ckk));
-                    let mut cols_scratch =
-                        (need_pg && cache.is_none()).then(|| arena::ScratchBuf::zeroed(ckk * howo));
-                    let mut gcols = compute_gx.then(|| arena::ScratchBuf::zeroed(ckk * howo));
-                    let count = per.min(n - gi * per);
-                    for li in 0..count {
-                        let ni = gi * per + li;
-                        let gslice = &gout[ni * o * howo..(ni + 1) * o * howo];
-                        if let Some(gw) = gw.as_mut() {
-                            let cols: &[f32] = match cache {
-                                Some(cb) => &cb[ni * ckk * howo..(ni + 1) * ckk * howo],
-                                None => {
-                                    let sc = cols_scratch.as_mut().expect("scratch gated above");
-                                    im2col(
-                                        &xd[ni * in_len..(ni + 1) * in_len],
-                                        cin,
-                                        hin,
-                                        win,
-                                        kh,
-                                        kw,
-                                        stride,
-                                        pad,
-                                        ho,
-                                        wo,
-                                        &mut sc[..],
-                                    );
-                                    &sc[..]
-                                }
-                            };
-                            exact_gemm_nt(gslice, cols, gw, o, howo, ckk);
-                        }
-                        if let Some(gx_chunk) = gx_chunk.as_deref_mut() {
-                            let gc = gcols.as_mut().expect("gcols gated above");
-                            exact_gemm_tn_over(wd_flat, gslice, &mut gc[..], o, ckk, howo);
-                            col2im(
-                                &gc[..],
-                                cin,
-                                hin,
-                                win,
-                                kh,
-                                kw,
-                                stride,
-                                pad,
-                                ho,
-                                wo,
-                                &mut gx_chunk[li * in_len..(li + 1) * in_len],
-                            );
-                        }
-                    }
-                    gw
-                })
-            };
-            if let Some(t) = gx_tmp {
-                // same full-batch serial add as the tape's
-                // add_scaled_assign(gx, 1.0)
-                for (dst, &src) in self.grads[c.x].iter_mut().zip(t.iter()) {
-                    *dst += src;
-                }
-                arena::recycle(t);
-            }
-            if need_pg {
-                // reduce group partials in group order, as the tape does
-                let pg = pg_buf(&mut self.param_grads, c.w, o * ckk);
-                for part in gw_partials.into_iter().flatten() {
-                    for (dst, &src) in pg.iter_mut().zip(part.iter()) {
-                        *dst += src;
-                    }
-                    arena::recycle(part);
-                }
-            }
-        }
+            Some(pg_buf(
+                &mut self.param_grads,
+                c.w,
+                o * c.geom.cin * c.geom.kh * c.geom.kw,
+            ))
+        } else {
+            None
+        };
+        conv_backward(
+            &c.geom,
+            n,
+            &gout,
+            &self.vals[c.x],
+            ps.get(c.w).value().data(),
+            cache,
+            gw,
+            compute_gx.then(|| (&mut self.grads[c.x][..], c.gx_direct)),
+        );
         arena::recycle(gout);
     }
 
