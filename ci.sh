@@ -79,6 +79,21 @@ if [ -n "$copies" ]; then
     exit 1
 fi
 
+echo "==> plans compile only the detector"
+# The compiled plans exist for the detector's hot jobs: scoring every
+# frame, the fine-tune and each attack frame's frozen gradient. Every
+# other network runs on the tape, which keeps every op, so the plans'
+# op set stays the detector's. Outside rd-tensor itself, only
+# TinyYolo's three plan caches and the grad audit's compiled cases may
+# compile a plan.
+compiles=$(grep -rnE '(InferPlan|TrainPlan)::compile\(' crates/*/src |
+    grep -vE '^crates/(tensor/src/|detector/src/model\.rs|analysis/src/grad_audit\.rs)' || true)
+if [ -n "$compiles" ]; then
+    echo "plan compiled outside the detector:" >&2
+    echo "$compiles" >&2
+    exit 1
+fi
+
 echo "==> inference equivalence (compiled plan vs tape, 1 and 4 threads)"
 # The PR 4 contract: the grad-free compiled path is bitwise-identical
 # to forward_frozen on random weights/inputs at any thread count, and
@@ -96,8 +111,8 @@ RD_NO_SIMD=1 cargo test --release -q -p rd-detector --test infer --test train_co
 # The same for every test that reaches a GEMM's scalar loop: all of
 # rd-tensor (including the pin of the tape's `linear` to the plain
 # i-k-j loop and the edge-value test, which runs NaN, ±0, ±inf and
-# subnormal inputs through the tape and both plans), both GAN
-# plan-vs-tape tests, and both attacks' compiled-vs-tape tests.
+# subnormal inputs through the tape and both plans), the GAN's tape
+# tests, and both attacks' compiled-vs-tape tests.
 RD_NO_SIMD=1 cargo test --release -q -p rd-tensor -p rd-gan
 RD_NO_SIMD=1 cargo test --release -q -p road-decals --lib matches_tape_bitwise
 
@@ -129,7 +144,7 @@ cargo run --release -q -p rd-analysis --bin grad_audit
 echo "==> plan audit (static analyzer over every compiled plan)"
 # Hard gate: the dataflow-IR lints (liveness, alias, fan-out race,
 # fusion legality, param coverage, col-budget) must be clean on every
-# plan TinyYolo/Generator/Discriminator compile. The mutation tests
+# plan TinyYolo compiles. The mutation tests
 # prove each lint fires at the exact op path of a deliberately
 # corrupted plan.
 cargo test --release -q -p rd-analysis --test plan_analyzer
@@ -139,10 +154,11 @@ test -s target/PLAN_AUDIT.json || { echo "plan_audit wrote no report" >&2; exit 
 echo "==> repro binary through the shared CLI entry (repro_table2, smoke, profiled)"
 # One repro binary end to end through rd_bench::main: flag parsing, the
 # run's runtime built from --threads, and the profile report, which must
-# name the attack's compiled training ops.
+# name the attack's compiled training ops. Only --profile-json is passed:
+# it must turn the profiler on by itself.
 rm -f target/profile_smoke.json
 cargo run --release -q -p rd-bench --bin repro_table2 -- \
-    --scale smoke --threads 1 --profile --profile-json target/profile_smoke.json >/dev/null
+    --scale smoke --threads 1 --profile-json target/profile_smoke.json >/dev/null
 test -s target/profile_smoke.json || { echo "repro_table2 wrote no profile json" >&2; exit 1; }
 grep -q '"train/' target/profile_smoke.json ||
     { echo "profile json names no train/ op path" >&2; exit 1; }

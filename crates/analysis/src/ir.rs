@@ -8,7 +8,7 @@
 //!
 //! * **fusion legality** — every fused kernel's tape-op chain must be
 //!   in canonical lowering order (`conv2d` → at most one of
-//!   `add_bias_channel` / `batch_norm2d_*` → at most one activation),
+//!   `add_bias_channel` / `batch_norm2d_*` → at most one `leaky_relu`),
 //!   batch norm must never be algebraically folded into the conv
 //!   weights (its four parameters must still be dereferenced at
 //!   execution time), and a train-plan fused leaky needs `alpha > 0`
@@ -251,10 +251,6 @@ pub fn check_fusion(meta: &PlanMeta) -> Vec<PlanIssue> {
                     )));
                 }
             }
-            ["relu"] if meta.kind == PlanKind::Infer => {}
-            ["relu"] => issues.push(issue(
-                "train plans never fuse relu (backward cannot recover the sign)".into(),
-            )),
             _ => issues.push(issue(format!(
                 "fused chain {:?} does not match the lowering order \
                  conv2d [bias|bn] [activation]",
@@ -303,17 +299,11 @@ pub fn check_params(meta: &PlanMeta, ps: &ParamSet) -> Vec<PlanIssue> {
         // dereferenced at execution time. A conv without a weight
         // reference would execute against garbage (and could never be
         // restored from a checkpoint section).
-        let needs: &[(bool, ParamRole)] = &[
-            (op.conv.is_some(), ParamRole::ConvWeight),
-            (op.linear.is_some(), ParamRole::LinearWeight),
-        ];
-        for &(required, role) in needs {
-            if required && !op.params.iter().any(|p| p.role == role) {
-                issues.push(issue(format!(
-                    "op geometry requires a {} parameter but the op dereferences none",
-                    role.label()
-                )));
-            }
+        if op.conv.is_some() && !op.params.iter().any(|p| p.role == ParamRole::ConvWeight) {
+            issues.push(issue(format!(
+                "op geometry requires a {} parameter but the op dereferences none",
+                ParamRole::ConvWeight.label()
+            )));
         }
         for r in &op.params {
             let Some(p) = params.get(r.index) else {
@@ -327,16 +317,10 @@ pub fn check_params(meta: &PlanMeta, ps: &ParamSet) -> Vec<PlanIssue> {
                 continue;
             };
             let shape = p.value().shape();
-            let want: Option<Vec<usize>> = match (r.role, &op.conv, &op.linear) {
-                (ParamRole::ConvWeight, Some(c), _) => Some(vec![c.cout, c.cin, c.kh, c.kw]),
-                (ParamRole::ConvBias, Some(c), _)
-                | (ParamRole::BnGamma, Some(c), _)
-                | (ParamRole::BnBeta, Some(c), _)
-                | (ParamRole::BnRunningMean, Some(c), _)
-                | (ParamRole::BnRunningVar, Some(c), _) => Some(vec![c.cout]),
-                (ParamRole::LinearWeight, _, Some((i, o))) => Some(vec![*o, *i]),
-                (ParamRole::LinearBias, _, Some((_, o))) => Some(vec![*o]),
-                _ => None,
+            let want: Option<Vec<usize>> = match (r.role, &op.conv) {
+                (ParamRole::ConvWeight, Some(c)) => Some(vec![c.cout, c.cin, c.kh, c.kw]),
+                (_, Some(c)) => Some(vec![c.cout]),
+                (_, None) => None,
             };
             match want {
                 Some(w) if shape != &w[..] => issues.push(issue(format!(

@@ -33,8 +33,8 @@
 //! * [`ir`] — the dataflow IR ([`PlanIr`]: per-slot def/use chains)
 //!   plus fusion-legality, parameter-coverage/orphan and column-budget
 //!   lints; [`audit_plan`] runs everything, and
-//!   [`audit_plan_or_panic`] is the compile-site hook the model crates
-//!   call on every freshly cached plan (debug builds).
+//!   [`audit_plan_or_panic`] is the compile-site hook the detector
+//!   calls on every freshly cached plan (debug builds).
 //! * [`liveness`] — buffers proven written-before-read, roots defined,
 //!   dead buffers flagged; plus live-range/peak-footprint statistics.
 //! * [`alias`] — single-producer/no-in-place/input-read-only proofs

@@ -63,29 +63,23 @@ fn assert_fires(meta: &PlanMeta, ps: &ParamSet, kind: PlanLintKind, path: &str) 
 
 #[test]
 fn every_real_plan_audits_clean() {
-    let (det, ps_det) = random_detector(11);
-    let (gen, disc, ps_g, ps_d) = gan_models(12);
+    let (det, ps) = random_detector(11);
     let plans = [
-        ("detector/infer", det.infer_plan(&ps_det).meta(), &ps_det),
-        ("detector/train", det.train_plan(&ps_det).meta(), &ps_det),
-        ("detector/grad", det.grad_plan(&ps_det).meta(), &ps_det),
-        ("gan/generator", gen.infer_plan(&ps_g).meta(), &ps_g),
-        ("gan/discriminator", disc.infer_plan(&ps_d).meta(), &ps_d),
+        ("detector/infer", det.infer_plan(&ps).meta()),
+        ("detector/train", det.train_plan(&ps).meta()),
+        ("detector/grad", det.grad_plan(&ps).meta()),
     ];
-    for (tag, meta, ps) in &plans {
-        let issues = audit_plan(meta, ps);
+    for (tag, meta) in &plans {
+        let issues = audit_plan(meta, &ps);
         assert!(
             issues.is_empty(),
             "{tag}: expected a clean audit, got: {:?}",
             issues.iter().map(|i| i.to_string()).collect::<Vec<_>>()
         );
     }
-    // No orphans: every parameter of each set is reachable from its
-    // compiled plans.
-    let det_metas: Vec<&PlanMeta> = plans[..3].iter().map(|(_, m, _)| m).collect();
-    assert!(rd_analysis::orphan_params(&det_metas, &ps_det).is_empty());
-    assert!(rd_analysis::orphan_params(&[&plans[3].1], &ps_g).is_empty());
-    assert!(rd_analysis::orphan_params(&[&plans[4].1], &ps_d).is_empty());
+    // No orphans: every parameter is reachable from the compiled plans.
+    let metas: Vec<&PlanMeta> = plans.iter().map(|(_, m)| m).collect();
+    assert!(rd_analysis::orphan_params(&metas, &ps).is_empty());
 }
 
 #[test]
@@ -125,9 +119,10 @@ fn fnv1a(s: &str) -> u64 {
     })
 }
 
-/// Pins the structure of all 8 plans the models cache, as an FNV digest
-/// of each `PlanMeta`'s `Debug` form. A change that moves any compiled
-/// plan must update its pin here and say why in CHANGES.md.
+/// Pins the structure of all 6 plans the detector caches (3 per scale),
+/// as an FNV digest of each `PlanMeta`'s `Debug` form. A change that
+/// moves any compiled plan must update its pin here and say why in
+/// CHANGES.md.
 #[test]
 fn cached_plan_structure_is_pinned() {
     let mut metas: Vec<(String, PlanMeta)> = Vec::new();
@@ -148,18 +143,13 @@ fn cached_plan_structure_is_pinned() {
         ));
         metas.push((format!("detector/{scale}/grad"), det.grad_plan(&ps).meta()));
     }
-    let (gen, disc, ps_g, ps_d) = gan_models(1);
-    metas.push(("gan/generator".into(), gen.infer_plan(&ps_g).meta()));
-    metas.push(("gan/discriminator".into(), disc.infer_plan(&ps_d).meta()));
-    let pins: [(&str, u64); 8] = [
-        ("detector/smoke/infer", 0xb878_f130_1dde_a2eb),
-        ("detector/smoke/train", 0x1de2_6b78_e27f_2502),
-        ("detector/smoke/grad", 0xcf02_1496_f514_87bc),
-        ("detector/standard/infer", 0x9b58_0a26_4f59_44f3),
-        ("detector/standard/train", 0x3604_9888_00f2_649e),
-        ("detector/standard/grad", 0x57cd_5c18_c85b_57e8),
-        ("gan/generator", 0x8a1d_d992_0498_c57d),
-        ("gan/discriminator", 0x2602_b31c_74c5_5e31),
+    let pins: [(&str, u64); 6] = [
+        ("detector/smoke/infer", 0xdbe4_3f4d_609b_f49c),
+        ("detector/smoke/train", 0x20b1_14dd_50a7_47cd),
+        ("detector/smoke/grad", 0x386a_1fba_a726_38cf),
+        ("detector/standard/infer", 0xb70d_3f12_4363_dba8),
+        ("detector/standard/train", 0xe4fb_8cfb_74bf_afb5),
+        ("detector/standard/grad", 0xf6d7_b5f0_0606_050f),
     ];
     assert_eq!(metas.len(), pins.len());
     for ((tag, meta), (pin_tag, pin)) in metas.iter().zip(pins) {

@@ -1,18 +1,14 @@
 //! Static plan audit: runs the `rd-analysis` plan analyzer over every
-//! compiled plan in the workspace's model zoo.
+//! compiled plan in the workspace.
 //!
 //! ```text
 //! cargo run --release -p rd-bench --bin plan_audit -- \
 //!     [--out target/PLAN_AUDIT.json]
 //! ```
 //!
-//! Audited plans (everything the models cache at their compile sites):
-//!
-//! * TinyYolo — inference plan, training plan, gradient (frozen-eval)
-//!   plan, at the standard 96×96 configuration;
-//! * Generator / Discriminator — inference plans. Their training runs
-//!   on the tape: `TrainPlan` has no backward for `linear`, `relu` or
-//!   `sigmoid`.
+//! Only the detector compiles plans: TinyYolo's inference plan,
+//! training plan and gradient (frozen-eval) plan, audited at the
+//! standard 96×96 configuration. The GAN runs on the tape.
 //!
 //! Per plan it prints op/buffer statistics (op count, fused convs,
 //! slots, peak live per-sample activation footprint) and every analyzer
@@ -20,9 +16,9 @@
 //! parameter — this is the hard gate ci.sh runs.
 //!
 //! This binary lives in `rd-bench` rather than `rd-analysis` because
-//! the model crates already depend on `rd-analysis` for the
+//! the detector crate already depends on `rd-analysis` for the
 //! compile-site audit hook; a bin in `rd-analysis` that built the
-//! models would close a dependency cycle.
+//! detector would close a dependency cycle.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +26,6 @@ use rand::SeedableRng;
 use rd_analysis::{liveness, PlanIr};
 use rd_bench::arg;
 use rd_detector::{TinyYolo, YoloConfig};
-use rd_gan::{Discriminator, GanConfig, Generator};
 use rd_tensor::{ParamSet, PlanMeta};
 
 /// One audited plan's statistics and findings.
@@ -97,27 +92,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         rd_analysis::orphan_params(&[&det_infer, &det_train, &det_grad], &ps_det)
             .iter()
             .map(|i| format!("detector: {i}")),
-    );
-
-    // --- GAN: inference plans ----------------------------------------
-    let cfg = GanConfig::default();
-    let mut ps_g = ParamSet::new();
-    let mut ps_d = ParamSet::new();
-    let gen = Generator::new(&mut ps_g, &mut rng, cfg);
-    let disc = Discriminator::new(&mut ps_d, &mut rng, cfg);
-    let gen_infer = gen.infer_plan(&ps_g).meta();
-    let disc_infer = disc.infer_plan(&ps_d).meta();
-    reports.push(audit("gan/generator", &gen_infer, &ps_g));
-    reports.push(audit("gan/discriminator", &disc_infer, &ps_d));
-    orphan_msgs.extend(
-        rd_analysis::orphan_params(&[&gen_infer], &ps_g)
-            .iter()
-            .map(|i| format!("generator: {i}")),
-    );
-    orphan_msgs.extend(
-        rd_analysis::orphan_params(&[&disc_infer], &ps_d)
-            .iter()
-            .map(|i| format!("discriminator: {i}")),
     );
 
     // --- render ------------------------------------------------------

@@ -470,8 +470,9 @@ pub fn environment_from_args() -> Result<(Environment, u64), Box<dyn Error>> {
 /// * `--threads N` — the run's worker budget (0 = one worker per host
 ///   core);
 /// * `--profile` — turns on the per-op wall-clock profiler and prints
-///   its report after the body succeeds; with `--profile-json PATH` it
-///   also writes the machine-readable histogram;
+///   its report after the body succeeds;
+/// * `--profile-json PATH` — turns on the profiler too, and also writes
+///   the machine-readable histogram to `PATH`;
 /// * `--deadline-secs N` — bounds the whole run's wall clock (0 =
 ///   unbounded), enforced cooperatively at step and frame boundaries;
 /// * `--max-retries N` — re-runs the body after a panic (default 0).
@@ -500,8 +501,8 @@ fn supervise(
     body: &mut dyn FnMut() -> Result<(), Box<dyn Error>>,
 ) -> Result<(), Box<dyn Error>> {
     let threads: usize = arg("--threads", 0)?;
-    let profile = flag("--profile");
     let profile_json: String = arg("--profile-json", String::new())?;
+    let profile = flag("--profile") || !profile_json.is_empty();
     let deadline_secs: u64 = arg("--deadline-secs", 0)?;
     let max_retries: u32 = arg("--max-retries", 0)?;
     let mut spec = JobSpec::new(name).threads(threads).max_retries(max_retries);

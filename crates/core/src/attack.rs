@@ -595,9 +595,8 @@ impl<'a> AttackTrainer<'a> {
         if cfg.d_every > 0 && step.is_multiple_of(cfg.d_every) {
             self.ps_d.zero_grads();
             let real = real_shape_batch(&mut self.rng, cfg.shape, 8, self.canvas);
-            // detached fake; no gradient flows into the generator here,
-            // so the compiled plan skips the tape entirely (it is
-            // bitwise-identical to the eval-mode tape forward)
+            // detached eval-mode fake; no gradient flows into the
+            // generator here
             let z_t = Tensor::randn(&mut self.rng, &[8, self.gan_cfg.z_dim], 1.0);
             let fake_t = self.gen.infer(&self.ps_g, &z_t);
             let mut g = Graph::new();

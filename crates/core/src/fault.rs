@@ -162,17 +162,6 @@ impl FaultPlan {
         }
     }
 
-    /// A [`GradHook`] view of [`apply_grads`](Self::apply_grads), or
-    /// `None` when no gradient faults are scheduled. Pass the returned
-    /// closure by reference into a trainer's `step`.
-    pub fn grad_hook(&self) -> Option<impl Fn(u64, &mut ParamSet) + '_> {
-        if self.has_grad_faults() {
-            Some(move |step: u64, ps: &mut ParamSet| self.apply_grads(step, ps))
-        } else {
-            None
-        }
-    }
-
     /// Applies the scheduled corruption to the bytes of checkpoint write
     /// number `write_index`, returning the mode applied (if any).
     pub fn corrupt_bytes(&self, write_index: usize, bytes: &mut Vec<u8>) -> Option<CorruptMode> {

@@ -17,8 +17,9 @@
 //! instead of the compiled `TrainPlan` (bitwise-identical, slower).
 //! `--threads`, `--profile`, `--profile-json`, `--deadline-secs` and
 //! `--max-retries` are the switches every CLI program takes through
-//! `rd_bench::main`; combine the last two with `--checkpoint-every` and
-//! `--resume` so retries pick up at the last checkpoint.
+//! `rd_bench::main` (`--profile-json PATH` profiles the run on its own,
+//! without `--profile`); combine the last two with `--checkpoint-every`
+//! and `--resume` so retries pick up at the last checkpoint.
 //!
 //! `--checkpoint-every N` atomically writes the full training state
 //! (weights, Adam moments, RNG position, epoch/batch cursors) every N

@@ -136,23 +136,6 @@ pub fn decode_head_into(
     }
 }
 
-/// Decodes one head tensor into freshly allocated per-image detection
-/// lists. Convenience wrapper over [`decode_head_into`].
-///
-/// # Panics
-///
-/// Panics if the tensor shape is inconsistent with `num_classes`.
-pub fn decode_head(
-    preds: &Tensor,
-    head: usize,
-    num_classes: usize,
-    obj_threshold: f32,
-) -> Vec<Vec<Detection>> {
-    let mut out = Vec::new();
-    decode_head_into(preds, head, num_classes, obj_threshold, &mut out);
-    out
-}
-
 /// In-place class-agnostic non-maximum suppression: sorts `dets` by
 /// descending confidence and removes every detection overlapping a
 /// higher-confidence survivor by more than `iou_threshold`.
@@ -181,14 +164,6 @@ pub fn nms_into(dets: &mut Vec<Detection>, iou_threshold: f32, suppressed: &mut 
         idx += 1;
         keep
     });
-}
-
-/// Class-agnostic non-maximum suppression, keeping the highest-confidence
-/// detection per overlapping group. Convenience wrapper over [`nms_into`].
-pub fn nms(mut dets: Vec<Detection>, iou_threshold: f32) -> Vec<Detection> {
-    let mut mask = Vec::new();
-    nms_into(&mut dets, iou_threshold, &mut mask);
-    dets
 }
 
 /// Reusable scratch for [`postprocess_into`]: per-head decode lists plus
@@ -268,10 +243,17 @@ mod tests {
         t
     }
 
+    /// [`decode_head_into`] into a fresh list.
+    fn decode(t: &Tensor) -> Vec<Vec<Detection>> {
+        let mut out = Vec::new();
+        decode_head_into(t, 0, 5, 0.3, &mut out);
+        out
+    }
+
     #[test]
     fn silent_head_yields_no_detections() {
         let t = empty_head(2, 3);
-        let d = decode_head(&t, 0, 5, 0.3);
+        let d = decode(&t);
         assert_eq!(d.len(), 2);
         assert!(d[0].is_empty() && d[1].is_empty());
     }
@@ -286,7 +268,7 @@ mod tests {
         t.set4(0, 10 + 2, 1, 2, 0.0); // tw -> anchor w
         t.set4(0, 10 + 3, 1, 2, 0.0);
         t.set4(0, 10 + 5 + 3, 1, 2, 8.0); // class 3 logit
-        let d = decode_head(&t, 0, 5, 0.3);
+        let d = decode(&t);
         assert_eq!(d[0].len(), 1);
         let det = &d[0][0];
         assert_eq!(det.class, ObjectClass::from_index(3));
@@ -312,7 +294,8 @@ mod tests {
             anchor: 0,
             cell: (0, 0),
         };
-        let kept = nms(vec![mk(0.9, 0.50), mk(0.8, 0.52), mk(0.7, 0.9)], 0.45);
+        let mut kept = vec![mk(0.9, 0.50), mk(0.8, 0.52), mk(0.7, 0.9)];
+        nms_into(&mut kept, 0.45, &mut Vec::new());
         assert_eq!(kept.len(), 2);
         assert!((kept[0].objectness - 0.9).abs() < 1e-6);
         assert!((kept[1].cx - 0.9).abs() < 1e-6);
@@ -364,11 +347,11 @@ mod tests {
             mk(0.7, 0.90),
             mk(0.5, 0.91),
         ];
-        let reference = nms(dets.clone(), 0.45);
         let mut in_place = dets;
         let mut mask = vec![true; 1]; // stale mask must be rebuilt
         nms_into(&mut in_place, 0.45, &mut mask);
-        assert_eq!(in_place, reference);
+        // by confidence: 0.9 suppresses 0.8 and 0.6, 0.7 suppresses 0.5
+        assert_eq!(in_place, vec![mk(0.9, 0.52), mk(0.7, 0.90)]);
     }
 
     #[test]
@@ -376,7 +359,7 @@ mod tests {
         let mut t = empty_head(1, 3);
         t.set4(0, 4, 0, 0, 5.0);
         t.set4(0, 2, 0, 0, 100.0); // absurd tw
-        let d = decode_head(&t, 0, 5, 0.3);
+        let d = decode(&t);
         assert!(d[0][0].w.is_finite());
         assert!(d[0][0].w < 60.0);
     }

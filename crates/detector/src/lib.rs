@@ -26,8 +26,7 @@ mod train;
 
 pub use confirm::{has_consecutive, ConfirmState, Confirmer};
 pub use decode::{
-    decode_head, decode_head_into, nms, nms_into, postprocess, postprocess_into, DecodeBuffers,
-    Detection,
+    decode_head_into, nms_into, postprocess, postprocess_into, DecodeBuffers, Detection,
 };
 pub use model::{TinyYolo, YoloConfig, YoloOutputs};
 pub use track::{Track, TrackState, Tracker, TrackerConfig};

@@ -168,16 +168,6 @@ impl YoloConfig {
     pub fn head_channels(&self) -> usize {
         ANCHORS_PER_HEAD * (5 + self.num_classes)
     }
-
-    /// Grid side of the coarse (stride-32) head.
-    pub fn coarse_grid(&self) -> usize {
-        self.input / 32
-    }
-
-    /// Grid side of the fine (stride-16) head.
-    pub fn fine_grid(&self) -> usize {
-        self.input / 16
-    }
 }
 
 /// Raw head outputs of one forward pass.

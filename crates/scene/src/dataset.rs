@@ -38,16 +38,6 @@ pub struct DatasetConfig {
 }
 
 impl DatasetConfig {
-    /// Paper-scale training set (1000 images).
-    pub fn paper_train(seed: u64) -> Self {
-        DatasetConfig {
-            rig: CameraRig::standard(),
-            n_images: 1000,
-            seed,
-            augment: true,
-        }
-    }
-
     /// Paper-scale test set (71 images).
     pub fn paper_test(seed: u64) -> Self {
         DatasetConfig {

@@ -15,7 +15,7 @@
 use rand::Rng;
 
 use rd_tensor::Tensor;
-use rd_vision::{Image, Plane};
+use rd_vision::Image;
 
 /// Printer model: systematic per-channel color error plus gamut
 /// compression toward neutral.
@@ -91,13 +91,6 @@ impl PrintModel {
             }
         }
         out
-    }
-
-    /// Convenience for gray decal planes.
-    pub fn print_plane<R: Rng>(&self, patch: &Plane, rng: &mut R) -> Plane {
-        let t = Tensor::from_vec(patch.data().to_vec(), &[1, patch.height(), patch.width()]);
-        let printed = self.print(&t, rng);
-        Plane::from_vec(printed.into_vec(), patch.height(), patch.width())
     }
 }
 

@@ -102,11 +102,6 @@ impl WorldScene {
         &self.canvas
     }
 
-    /// Mutable canvas access (decal compositing).
-    pub fn canvas_mut(&mut self) -> &mut Image {
-        &mut self.canvas
-    }
-
     /// The painted objects.
     pub fn objects(&self) -> &[WorldObject] {
         &self.objects

@@ -11,7 +11,7 @@
 //!   (`exact_gemm_nt` grad-weight, `exact_gemm_tn_over` + `col2im`
 //!   grad-input);
 //! - the fused epilogue, [`conv_epilogue`]: bias, eval batch norm and
-//!   activation in one in-place pass, which both plans call for their
+//!   leaky in one in-place pass, which both plans call for their
 //!   fused convs and the tape for `add_bias_channel` and
 //!   `batch_norm2d_eval`; and the bias gradient, [`bias_grad`].
 //!
@@ -24,7 +24,7 @@ use std::sync::Mutex;
 
 use crate::arena::{self, ScratchBuf};
 use crate::bnorm::BnAffine;
-use crate::graph::{leaky, relu, Graph, VarId};
+use crate::graph::{leaky, Graph, VarId};
 use crate::parallel;
 use crate::plan::Act;
 use crate::plan_meta::ConvGeom;
@@ -317,7 +317,6 @@ pub(crate) fn conv_epilogue(
     match act {
         Act::None => epilogue(out, c, hw, bias, bn, |t| t),
         Act::Leaky(alpha) => epilogue(out, c, hw, bias, bn, |t| leaky(t, alpha)),
-        Act::Relu => epilogue(out, c, hw, bias, bn, relu),
     }
 }
 

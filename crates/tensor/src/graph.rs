@@ -968,8 +968,9 @@ impl Graph {
 }
 
 // ---------------------------------------------------------------------------
-// Kernels: the one spelling of these ops' arithmetic. The tape ops above,
-// `TrainPlan` and `InferPlan` all call them.
+// Kernels: the one spelling of these ops' arithmetic. The tape ops above
+// call all of them; `TrainPlan` and `InferPlan` call the leaky and concat
+// kernels (relu, sigmoid and linear run on the tape only).
 // ---------------------------------------------------------------------------
 
 /// Leaky ReLU, `x > 0 ? x : α·x`.
@@ -984,7 +985,7 @@ pub(crate) fn leaky(x: f32, alpha: f32) -> f32 {
 
 /// ReLU, `max(x, 0)`.
 #[inline]
-pub(crate) fn relu(x: f32) -> f32 {
+fn relu(x: f32) -> f32 {
     x.max(0.0)
 }
 
@@ -996,14 +997,14 @@ pub(crate) fn leaky_forward(x: &[f32], alpha: f32, out: &mut [f32]) {
 }
 
 /// `out[i] = relu(x[i])`.
-pub(crate) fn relu_forward(x: &[f32], out: &mut [f32]) {
+fn relu_forward(x: &[f32], out: &mut [f32]) {
     for (o, &v) in out.iter_mut().zip(x) {
         *o = relu(v);
     }
 }
 
 /// `out[i] = 1 / (1 + exp(−x[i]))`.
-pub(crate) fn sigmoid_forward(x: &[f32], out: &mut [f32]) {
+fn sigmoid_forward(x: &[f32], out: &mut [f32]) {
     for (o, &v) in out.iter_mut().zip(x) {
         *o = 1.0 / (1.0 + (-v).exp());
     }
@@ -1039,7 +1040,7 @@ pub(crate) fn concat_backward(gout: &[f32], off: usize, len: usize, total: usize
 
 /// Linear layer forward for `n` rows: `out = x × wt`, with `wt` the
 /// transposed weight (`in_dim × out_dim`), then each row's bias.
-pub(crate) fn linear_forward(
+fn linear_forward(
     x: &[f32],
     wt: &[f32],
     b: &[f32],

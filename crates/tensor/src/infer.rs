@@ -10,8 +10,8 @@
 //!
 //! - [`InferPlan::compile`] lowers a network's forward traced on a
 //!   [`Graph::shape_only`] tape through `crate::plan`, which fuses
-//!   `conv2d → {add_bias_channel | batch_norm2d_eval} → leaky_relu |
-//!   relu` chains into single kernels. Parameters are referenced by
+//!   `conv2d → {add_bias_channel | batch_norm2d_eval} → leaky_relu`
+//!   chains into single kernels. Parameters are referenced by
 //!   [`crate::ParamId`] (carried on the `param` nodes as `pid` attrs),
 //!   so a compiled plan
 //!   survives weight updates — values are read fresh from the
@@ -26,9 +26,9 @@
 //! schedule; each op's arithmetic is the one kernel the tape calls too
 //! (one kernel per op): `crate::conv`'s per-sample conv and its
 //! epilogue (bias, eval batch norm as the per-channel affine of
-//! `crate::bnorm`, activation, in one in-place pass), `crate::pool`'s
-//! per-plane max-pool and upsample, and the activation, concat and
-//! linear kernels of `crate::graph`. Every one of them treats samples
+//! `crate::bnorm`, leaky, in one in-place pass), `crate::pool`'s
+//! per-plane max-pool and upsample, and the leaky and concat kernels of
+//! `crate::graph`. Every one of them treats samples
 //! independently, so one sample through a kernel gives the bits of
 //! that sample in the tape's batched call, and a per-sample execution
 //! is bitwise identical to a batched tape forward. The batch norm is
@@ -42,9 +42,7 @@ use std::sync::Mutex;
 use crate::arena;
 use crate::bnorm::{bn_eval_affine, BnAffine};
 use crate::conv::{conv_epilogue, conv_forward_sample};
-use crate::graph::{
-    concat_forward, leaky_forward, linear_forward, relu_forward, sigmoid_forward, Graph, VarId,
-};
+use crate::graph::{concat_forward, leaky_forward, Graph, VarId};
 use crate::parallel;
 use crate::params::ParamSet;
 use crate::plan::{self, Conv, OpKind, Plan};
@@ -68,8 +66,8 @@ impl InferPlan {
     /// # Errors
     ///
     /// Returns a message naming the offending node when the tape
-    /// contains an op the executor does not support (including
-    /// `batch_norm2d_train`: inference has no batch statistics), is
+    /// contains an op outside the plans' op set (`crate::plan`) or a
+    /// `batch_norm2d_train` (inference has no batch statistics), is
     /// missing the `pid`/`eps_bits`/`alpha_bits` attrs the lowering must
     /// carry, or was not traced at batch 1.
     pub fn compile(g: &Graph, roots: &[VarId]) -> Result<InferPlan, String> {
@@ -106,8 +104,8 @@ impl InferPlan {
     }
 
     /// Runs one sample already copied into `bufs`' input slot.
-    fn exec_sample(&self, ps: &ParamSet, derived: &[Derived], bufs: &mut GroupBufs) {
-        for (op, derived) in self.ir.ops.iter().zip(derived) {
+    fn exec_sample(&self, ps: &ParamSet, bn_affines: &[Option<BnAffine>], bufs: &mut GroupBufs) {
+        for (op, bn) in self.ir.ops.iter().zip(bn_affines) {
             let t0 = profile::enabled().then(std::time::Instant::now);
             match &op.kind {
                 OpKind::Conv(c) => {
@@ -115,12 +113,8 @@ impl InferPlan {
                     let w = ps.get(c.w).value().data();
                     conv_forward_sample(&c.geom, &bufs.slots[c.x], w, &mut bufs.cols, &mut out);
                     let bias = c.bias.map(|b| ps.get(b).value().data());
-                    let bn = match derived {
-                        Derived::Bn(affine) => Some(affine),
-                        _ => None,
-                    };
                     let (cout, howo) = (c.geom.cout, c.geom.ho * c.geom.wo);
-                    conv_epilogue(&mut out, cout, howo, bias, bn, c.act);
+                    conv_epilogue(&mut out, cout, howo, bias, bn.as_ref(), c.act);
                     bufs.slots[c.out] = out;
                 }
                 OpKind::MaxPool {
@@ -169,56 +163,12 @@ impl InferPlan {
                     leaky_forward(&bufs.slots[*x][..*len], *alpha, &mut o);
                     bufs.slots[*out] = o;
                 }
-                OpKind::Relu { x, out, len } => {
-                    let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    relu_forward(&bufs.slots[*x][..*len], &mut o);
-                    bufs.slots[*out] = o;
-                }
-                OpKind::Sigmoid { x, out, len } => {
-                    let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    sigmoid_forward(&bufs.slots[*x][..*len], &mut o);
-                    bufs.slots[*out] = o;
-                }
-                OpKind::Linear {
-                    x,
-                    out,
-                    w: _,
-                    b,
-                    in_dim,
-                    out_dim,
-                } => {
-                    let Derived::LinearWeightT(wt) = derived else {
-                        unreachable!("linear op missing derived transposed weight")
-                    };
-                    let mut o = std::mem::take(&mut bufs.slots[*out]);
-                    let bias = ps.get(*b).value().data();
-                    linear_forward(
-                        &bufs.slots[*x][..*in_dim],
-                        wt,
-                        bias,
-                        1,
-                        *in_dim,
-                        *out_dim,
-                        &mut o,
-                    );
-                    bufs.slots[*out] = o;
-                }
             }
             if let Some(t0) = t0 {
                 profile::add_sample(&op.path, t0.elapsed().as_nanos() as u64);
             }
         }
     }
-}
-
-/// What an op reads that one `execute` derives once from the
-/// parameters, for every sample.
-enum Derived {
-    None,
-    /// An eval batch norm's per-channel affine.
-    Bn(BnAffine),
-    /// A linear layer's transposed weight.
-    LinearWeightT(Vec<f32>),
 }
 
 /// Per-worker-group activation buffers, all arena-backed.
@@ -272,21 +222,19 @@ impl<'p> InferExec<'p> {
         let per = n.div_ceil(groups);
         let in_len = ir.slot_lens[ir.input_slot];
 
-        let derived: Vec<Derived> = ir
+        // each eval batch norm's per-channel affine, once for every sample
+        let bn_affines: Vec<Option<BnAffine>> = ir
             .ops
             .iter()
             .map(|op| match &op.kind {
-                OpKind::Conv(Conv { bn: Some(bn), .. }) => Derived::Bn(bn_eval_affine(
+                OpKind::Conv(Conv { bn: Some(bn), .. }) => Some(bn_eval_affine(
                     ps.get(bn.gamma).value().data(),
                     ps.get(bn.beta).value().data(),
                     ps.get(bn.rmean).value().data(),
                     ps.get(bn.rvar).value().data(),
                     bn.eps,
                 )),
-                OpKind::Linear { w, .. } => {
-                    Derived::LinearWeightT(ps.get(*w).value().transpose2d().into_vec())
-                }
-                _ => Derived::None,
+                _ => None,
             })
             .collect();
 
@@ -340,7 +288,7 @@ impl<'p> InferExec<'p> {
             for li in 0..counts[gi] {
                 let ni = start + li;
                 bufs.slots[ir.input_slot].copy_from_slice(&xin[ni * in_len..(ni + 1) * in_len]);
-                plan.exec_sample(ps, &derived, bufs);
+                plan.exec_sample(ps, &bn_affines, bufs);
                 for (oi, &slot) in ir.outputs.iter().enumerate() {
                     let olen = ir.slot_lens[slot];
                     ochunks[oi][li * olen..(li + 1) * olen]

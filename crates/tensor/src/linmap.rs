@@ -51,12 +51,10 @@ pub struct WarpEntry {
 pub struct LinearMap {
     in_hw: (usize, usize),
     out_hw: (usize, usize),
+    /// In the caller's order, which `Graph::warp`'s backward scatters in.
     entries: Vec<WarpEntry>,
-    /// CSR row index over `srcs`/`weights` (length `out_n + 1`), built in
-    /// [`LinearMap::new`] when the entries are dst-non-decreasing — true
-    /// for every map produced by a destination-major scan (camera warps,
-    /// decal homographies, blur maps). Empty when the entries are
-    /// unordered, in which case applies fall back to the entry scatter.
+    /// CSR row index over `srcs`/`weights` (length `out_n + 1`): each
+    /// destination's entries, in their order within `entries`.
     offsets: Vec<u32>,
     srcs: Vec<u32>,
     weights: Vec<f32>,
@@ -67,12 +65,13 @@ pub struct LinearMap {
 impl LinearMap {
     /// Builds a map from raw entries.
     ///
-    /// When the entries arrive sorted by destination (the natural order
-    /// for maps built by scanning the output grid row-major), a CSR index
-    /// is built alongside so [`LinearMap::apply_plane_into`] can run as a
-    /// row gather — same multiplies, same add order, bitwise-identical
+    /// A CSR index is built alongside so [`LinearMap::apply_plane_into`]
+    /// runs as a row gather — per destination the same multiplies in the
+    /// same add order as a scatter over the entries, bitwise-identical
     /// results, but SIMD-friendly and free of the scatter's
-    /// read-modify-write dependence.
+    /// read-modify-write dependence. Entries sorted by destination (the
+    /// natural order for maps built by scanning the output grid
+    /// row-major) index in one pass; others through a stable sort.
     ///
     /// # Panics
     ///
@@ -93,22 +92,29 @@ impl LinearMap {
                 Some((lo, hi)) => (lo.min(e.dst), hi.max(e.dst)),
             });
         }
-        let (mut offsets, mut srcs, mut weights) = (Vec::new(), Vec::new(), Vec::new());
-        if sorted {
-            offsets = Vec::with_capacity(out_n as usize + 1);
-            srcs = Vec::with_capacity(entries.len());
-            weights = Vec::with_capacity(entries.len());
-            let mut i = 0usize;
-            for dst in 0..out_n {
-                offsets.push(i as u32);
-                while i < entries.len() && entries[i].dst == dst {
-                    srcs.push(entries[i].src);
-                    weights.push(entries[i].weight);
-                    i += 1;
-                }
-            }
+        // entry indices by destination, stable so each destination keeps
+        // its entries' order
+        let order: Vec<usize> = if sorted {
+            Vec::new()
+        } else {
+            let mut order: Vec<usize> = (0..entries.len()).collect();
+            order.sort_by_key(|&i| entries[i].dst);
+            order
+        };
+        let at = |k: usize| &entries[if sorted { k } else { order[k] }];
+        let mut offsets = Vec::with_capacity(out_n as usize + 1);
+        let mut srcs = Vec::with_capacity(entries.len());
+        let mut weights = Vec::with_capacity(entries.len());
+        let mut i = 0usize;
+        for dst in 0..out_n {
             offsets.push(i as u32);
+            while i < entries.len() && at(i).dst == dst {
+                srcs.push(at(i).src);
+                weights.push(at(i).weight);
+                i += 1;
+            }
         }
+        offsets.push(i as u32);
         LinearMap {
             in_hw,
             out_hw,
@@ -168,11 +174,6 @@ impl LinearMap {
         LinearMap::new(self.in_hw, next.out_hw, entries)
     }
 
-    /// Whether a CSR row index was built (entries were dst-sorted).
-    pub fn is_indexed(&self) -> bool {
-        !self.offsets.is_empty()
-    }
-
     /// The half-open row span `[lo, hi)` of the output grid that this map
     /// can write to; `(0, 0)` for a map with no entries.
     ///
@@ -214,26 +215,7 @@ impl LinearMap {
     pub fn apply_plane_into(&self, src: &[f32], out: &mut [f32]) {
         assert_eq!(src.len(), self.in_hw.0 * self.in_hw.1);
         assert_eq!(out.len(), self.out_hw.0 * self.out_hw.1);
-        if self.is_indexed() {
-            crate::simd::sparse_gather(&self.offsets, &self.srcs, &self.weights, src, out);
-        } else {
-            out.fill(0.0);
-            for e in &self.entries {
-                out[e.dst as usize] += e.weight * src[e.src as usize];
-            }
-        }
-    }
-
-    /// Accumulating apply into a pre-zeroed plane (used by [`Graph::warp`],
-    /// whose output tensor is already zero-filled).
-    fn gather_into_zeroed(&self, src: &[f32], out: &mut [f32]) {
-        if self.is_indexed() {
-            crate::simd::sparse_gather(&self.offsets, &self.srcs, &self.weights, src, out);
-        } else {
-            for e in &self.entries {
-                out[e.dst as usize] += e.weight * src[e.src as usize];
-            }
-        }
+        crate::simd::sparse_gather(&self.offsets, &self.srcs, &self.weights, src, out);
     }
 }
 
@@ -262,8 +244,7 @@ impl Graph {
             let xd = xv.data();
             let od = out.data_mut();
             let gather = |nc: usize, dst: &mut [f32]| {
-                let src = &xd[nc * in_n..(nc + 1) * in_n];
-                map.gather_into_zeroed(src, dst);
+                map.apply_plane_into(&xd[nc * in_n..(nc + 1) * in_n], dst);
             };
             if big {
                 let per = planes.div_ceil(crate::parallel::groups_for(planes));
@@ -316,14 +297,22 @@ mod tests {
     use super::*;
     use crate::check::{assert_grads_close, numeric_grad};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
-    fn random_map(rng: &mut StdRng, in_hw: (usize, usize), out_hw: (usize, usize)) -> LinearMap {
+    /// `per_dst` random entries for each destination, in destination
+    /// order.
+    fn random_map(
+        rng: &mut StdRng,
+        in_hw: (usize, usize),
+        out_hw: (usize, usize),
+        per_dst: usize,
+    ) -> LinearMap {
         let in_n = (in_hw.0 * in_hw.1) as u32;
         let out_n = out_hw.0 * out_hw.1;
         let mut entries = Vec::new();
         for d in 0..out_n {
-            for _ in 0..2 {
+            for _ in 0..per_dst {
                 entries.push(WarpEntry {
                     dst: d as u32,
                     src: rng.gen_range(0..in_n),
@@ -354,7 +343,7 @@ mod tests {
     #[test]
     fn warp_grad_matches_numeric() {
         let mut rng = StdRng::seed_from_u64(17);
-        let map: Arc<LinearMap> = random_map(&mut rng, (3, 3), (2, 2)).into();
+        let map: Arc<LinearMap> = random_map(&mut rng, (3, 3), (2, 2), 2).into();
         let x0 = Tensor::randn(&mut rng, &[2, 2, 3, 3], 1.0);
         let run = |x0: &Tensor| {
             let mut g = Graph::new();
@@ -380,8 +369,8 @@ mod tests {
     #[test]
     fn composition_equals_sequential_application() {
         let mut rng = StdRng::seed_from_u64(4);
-        let m1 = random_map(&mut rng, (3, 3), (4, 2));
-        let m2 = random_map(&mut rng, (4, 2), (2, 2));
+        let m1 = random_map(&mut rng, (3, 3), (4, 2), 2);
+        let m2 = random_map(&mut rng, (4, 2), (2, 2), 2);
         let fused: Arc<LinearMap> = m1.then(&m2).into();
         let (m1, m2): (Arc<_>, Arc<_>) = (m1.into(), m2.into());
         let x0 = Tensor::randn(&mut rng, &[1, 1, 3, 3], 1.0);
@@ -400,7 +389,7 @@ mod tests {
     #[test]
     fn apply_plane_matches_warp() {
         let mut rng = StdRng::seed_from_u64(12);
-        let map = random_map(&mut rng, (4, 4), (3, 3));
+        let map = random_map(&mut rng, (4, 4), (3, 3), 2);
         let src: Vec<f32> = (0..16).map(|i| i as f32).collect();
         let plane = map.apply_plane(&src);
         let map: Arc<LinearMap> = map.into();
@@ -414,26 +403,33 @@ mod tests {
     fn csr_gather_bitwise_matches_entry_scatter() {
         let mut rng = StdRng::seed_from_u64(29);
         for _ in 0..20 {
-            let map = random_map(&mut rng, (7, 5), (6, 9));
-            assert!(map.is_indexed(), "dst-ascending entries must index");
+            let sorted = random_map(&mut rng, (7, 5), (6, 9), 4);
+            // the same entries shuffled: each destination's four entries
+            // land apart and out of order, and with more than two terms
+            // the order changes the rounded sum
+            let mut entries = sorted.entries().to_vec();
+            entries.shuffle(&mut rng);
+            let shuffled = LinearMap::new((7, 5), (6, 9), entries);
             let src: Vec<f32> = (0..35).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let mut reference = vec![0.0f32; 54];
-            for e in map.entries() {
-                reference[e.dst as usize] += e.weight * src[e.src as usize];
-            }
-            let via_apply = map.apply_plane(&src);
-            // Dirty output buffer: apply_plane_into must overwrite fully.
-            let mut via_into = vec![f32::NAN; 54];
-            map.apply_plane_into(&src, &mut via_into);
-            for i in 0..54 {
-                assert_eq!(reference[i].to_bits(), via_apply[i].to_bits());
-                assert_eq!(reference[i].to_bits(), via_into[i].to_bits());
+            for map in [&sorted, &shuffled] {
+                let mut reference = vec![0.0f32; 54];
+                for e in map.entries() {
+                    reference[e.dst as usize] += e.weight * src[e.src as usize];
+                }
+                let via_apply = map.apply_plane(&src);
+                // Dirty output buffer: apply_plane_into must overwrite fully.
+                let mut via_into = vec![f32::NAN; 54];
+                map.apply_plane_into(&src, &mut via_into);
+                for i in 0..54 {
+                    assert_eq!(reference[i].to_bits(), via_apply[i].to_bits());
+                    assert_eq!(reference[i].to_bits(), via_into[i].to_bits());
+                }
             }
         }
     }
 
     #[test]
-    fn unsorted_entries_fall_back_to_scatter() {
+    fn unsorted_entries_apply_by_destination() {
         let entries = vec![
             WarpEntry {
                 dst: 3,
@@ -447,7 +443,6 @@ mod tests {
             },
         ];
         let map = LinearMap::new((1, 2), (2, 2), entries);
-        assert!(!map.is_indexed());
         assert_eq!(map.dst_row_span(), (0, 2));
         let out = map.apply_plane(&[2.0, 4.0]);
         assert_eq!(out, vec![0.0, -6.0, 0.0, 1.0]);

@@ -11,11 +11,19 @@
 //! `TrainPlan` runs the full batch with gradient and column-cache
 //! buffers — and both call the tape's kernel for each op.
 //!
+//! ## Op set
+//!
+//! Both kinds lower the same ops, the detector's: `conv2d` with its
+//! fused stages, `max_pool2d`, `upsample_nearest2x`,
+//! `concat_channels` and a standalone `leaky_relu`. Every other tape op
+//! is a compile error, and an inference plan also rejects
+//! `batch_norm2d_train`: one sample has no batch statistics.
+//!
 //! ## Fusion
 //!
 //! A `conv2d` absorbs the stages that follow it in tape order:
 //! `add_bias_channel` or a `batch_norm2d_{eval,train}`, then a
-//! `leaky_relu` or `relu`. A stage fuses only when the value it reads —
+//! `leaky_relu`. A stage fuses only when the value it reads —
 //! the conv's output so far — has that stage as its sole consumer and
 //! is not a plan root, because the fused kernel overwrites that value
 //! in place. When it has other readers, an activation becomes a
@@ -41,8 +49,6 @@ pub(crate) enum Act {
     None,
     /// `t > 0 ? t : α·t`.
     Leaky(f32),
-    /// `max(t, 0)`.
-    Relu,
 }
 
 /// Batch-norm stage of a fused conv.
@@ -88,10 +94,8 @@ impl Conv {
                 "batch_norm2d_eval"
             });
         }
-        match self.act {
-            Act::None => {}
-            Act::Leaky(_) => fused.push("leaky_relu"),
-            Act::Relu => fused.push("relu"),
+        if let Act::Leaky(_) = self.act {
+            fused.push("leaky_relu");
         }
         fused
     }
@@ -103,7 +107,6 @@ impl Conv {
             name.push_str(match *stage {
                 "add_bias_channel" => "_bias",
                 "leaky_relu" => "_leaky",
-                "relu" => "_relu",
                 _ => "_bn",
             });
         }
@@ -148,24 +151,6 @@ pub(crate) enum OpKind {
         alpha: f32,
         len: usize,
     },
-    Relu {
-        x: usize,
-        out: usize,
-        len: usize,
-    },
-    Sigmoid {
-        x: usize,
-        out: usize,
-        len: usize,
-    },
-    Linear {
-        x: usize,
-        out: usize,
-        w: ParamId,
-        b: ParamId,
-        in_dim: usize,
-        out_dim: usize,
-    },
 }
 
 impl OpKind {
@@ -175,12 +160,9 @@ impl OpKind {
         match self {
             OpKind::Conv(c) => vec![c.x],
             OpKind::Concat { a, b, .. } => vec![*a, *b],
-            OpKind::MaxPool { x, .. }
-            | OpKind::Upsample2x { x, .. }
-            | OpKind::Leaky { x, .. }
-            | OpKind::Relu { x, .. }
-            | OpKind::Sigmoid { x, .. }
-            | OpKind::Linear { x, .. } => vec![*x],
+            OpKind::MaxPool { x, .. } | OpKind::Upsample2x { x, .. } | OpKind::Leaky { x, .. } => {
+                vec![*x]
+            }
         }
     }
 
@@ -191,10 +173,7 @@ impl OpKind {
             OpKind::MaxPool { out, .. }
             | OpKind::Upsample2x { out, .. }
             | OpKind::Concat { out, .. }
-            | OpKind::Leaky { out, .. }
-            | OpKind::Relu { out, .. }
-            | OpKind::Sigmoid { out, .. }
-            | OpKind::Linear { out, .. } => *out,
+            | OpKind::Leaky { out, .. } => *out,
         }
     }
 }
@@ -244,33 +223,21 @@ fn last_conv(ops: &mut [Op], slot: usize) -> Option<&mut Conv> {
 /// # Errors
 ///
 /// Returns a message naming the offending node when the tape contains
-/// an op the `kind`'s executor cannot run, is missing the attrs the
+/// an op outside the plans' op set (or, for inference, a
+/// `batch_norm2d_train`), is missing the attrs the
 /// lowering must carry, would fuse a bias or batch norm into a conv
 /// whose output has other readers, or was not traced at batch 1.
 pub(crate) fn lower(g: &Graph, roots: &[VarId], kind: PlanKind) -> Result<Plan, String> {
-    let (tag, unsupported): (&str, &[&str]) = match kind {
-        // batch statistics do not exist for one sample
-        PlanKind::Infer => ("infer", &["batch_norm2d_train"]),
-        // no compiled backward
-        PlanKind::Train => ("train", &["relu", "sigmoid", "linear"]),
+    let tag = match kind {
+        PlanKind::Infer => "infer",
+        PlanKind::Train => "train",
     };
     let metas = g.metas();
 
-    // A reshape aliases its input's slot, so consumers are counted per
-    // aliased value; a plan root counts as one more consumer.
-    let mut base: Vec<usize> = (0..metas.len()).collect();
+    // consumers per value; a plan root counts as one more
     let mut uses = vec![0usize; metas.len()];
-    for (idx, meta) in metas.iter().enumerate() {
-        if meta.op == "reshape" {
-            base[idx] = base[meta.parents[0].index()];
-        } else {
-            for p in meta.parents.iter() {
-                uses[base[p.index()]] += 1;
-            }
-        }
-    }
-    for r in roots {
-        uses[base[r.index()]] += 1;
+    for p in metas.iter().flat_map(|m| &m.parents).chain(roots) {
+        uses[p.index()] += 1;
     }
 
     let mut plan = Plan {
@@ -317,10 +284,11 @@ pub(crate) fn lower(g: &Graph, roots: &[VarId], kind: PlanKind) -> Result<Plan, 
             Ok(plan.slot_shapes.len() - 1)
         };
         // a fused stage overwrites its input value in place
-        let sole_use = || uses[base[meta.parents[0].index()]] == 1;
+        let sole_use = || uses[meta.parents[0].index()] == 1;
         let op_path = format!("{tag}/{path}");
 
-        if unsupported.contains(&meta.op) {
+        // batch statistics do not exist for one sample
+        if kind == PlanKind::Infer && meta.op == "batch_norm2d_train" {
             return fail(format!("unsupported op '{}'", meta.op));
         }
         let node = match meta.op {
@@ -409,47 +377,24 @@ pub(crate) fn lower(g: &Graph, roots: &[VarId], kind: PlanKind) -> Result<Plan, 
                 }
                 NodeRef::Slot(y)
             }
-            "leaky_relu" | "relu" => {
+            "leaky_relu" => {
                 let x = slot_of(0)?;
-                let act = if meta.op == "relu" {
-                    Act::Relu
-                } else {
-                    Act::Leaky(f32::from_bits(attr("alpha_bits")? as u32))
-                };
-                let fusable = sole_use()
-                    && match act {
-                        Act::Leaky(alpha) => alpha > 0.0,
-                        _ => true,
-                    };
+                let alpha = f32::from_bits(attr("alpha_bits")? as u32);
                 match last_conv(&mut plan.ops, x) {
-                    Some(c) if c.act == Act::None && fusable => {
-                        c.act = act;
+                    Some(c) if c.act == Act::None && sole_use() && alpha > 0.0 => {
+                        c.act = Act::Leaky(alpha);
                         NodeRef::Slot(x)
                     }
                     _ => {
                         let out = new_slot(&mut plan)?;
                         let len = plan.slot_lens[out];
-                        let kind = match act {
-                            Act::Leaky(alpha) => OpKind::Leaky { x, out, alpha, len },
-                            _ => OpKind::Relu { x, out, len },
-                        };
                         plan.ops.push(Op {
-                            kind,
+                            kind: OpKind::Leaky { x, out, alpha, len },
                             path: op_path,
                         });
                         NodeRef::Slot(out)
                     }
                 }
-            }
-            "sigmoid" => {
-                let x = slot_of(0)?;
-                let out = new_slot(&mut plan)?;
-                let len = plan.slot_lens[out];
-                plan.ops.push(Op {
-                    kind: OpKind::Sigmoid { x, out, len },
-                    path: op_path,
-                });
-                NodeRef::Slot(out)
             }
             "max_pool2d" => {
                 let x = slot_of(0)?;
@@ -503,49 +448,6 @@ pub(crate) fn lower(g: &Graph, roots: &[VarId], kind: PlanKind) -> Result<Plan, 
                         ca: asl[0],
                         cb: bsl[0],
                         hw: asl[1] * asl[2],
-                    },
-                    path: op_path,
-                });
-                NodeRef::Slot(out)
-            }
-            "reshape" => {
-                // flat per-sample data is unchanged: alias the slot (and,
-                // in a training plan, its gradient), relabelling it with
-                // the post-reshape dims so shape-sensitive consumers
-                // (conv, upsample, pool) see the reshaped geometry
-                let x = slot_of(0)?;
-                let per = per_sample()?;
-                let len: usize = per.iter().product();
-                if len != plan.slot_lens[x] {
-                    return fail(format!(
-                        "reshape changes per-sample length {} -> {len}",
-                        plan.slot_lens[x]
-                    ));
-                }
-                plan.slot_shapes[x] = per;
-                NodeRef::Slot(x)
-            }
-            "linear" => {
-                let x = slot_of(0)?;
-                let w = param_of(1)?;
-                let b = param_of(2)?;
-                let ws = &metas[meta.parents[1].index()].expected_shape;
-                let (out_dim, in_dim) = (ws[0], ws[1]);
-                if plan.slot_lens[x] != in_dim {
-                    return fail(format!(
-                        "linear input length {} != weight columns {in_dim}",
-                        plan.slot_lens[x]
-                    ));
-                }
-                let out = new_slot(&mut plan)?;
-                plan.ops.push(Op {
-                    kind: OpKind::Linear {
-                        x,
-                        out,
-                        w,
-                        b,
-                        in_dim,
-                        out_dim,
                     },
                     path: op_path,
                 });
@@ -623,7 +525,6 @@ impl Plan {
                     params: Vec::new(),
                     fused: Vec::new(),
                     conv: None,
-                    linear: None,
                     alpha: None,
                     bn_train: None,
                     bn_eps: None,
@@ -671,28 +572,6 @@ impl Plan {
                     OpKind::Leaky { alpha, .. } => {
                         m.alpha = Some(*alpha);
                         "leaky_relu"
-                    }
-                    OpKind::Relu { .. } => "relu",
-                    OpKind::Sigmoid { .. } => "sigmoid",
-                    OpKind::Linear {
-                        w,
-                        b,
-                        in_dim,
-                        out_dim,
-                        ..
-                    } => {
-                        m.params = vec![
-                            ParamRef {
-                                role: ParamRole::LinearWeight,
-                                index: w.index(),
-                            },
-                            ParamRef {
-                                role: ParamRole::LinearBias,
-                                index: b.index(),
-                            },
-                        ];
-                        m.linear = Some((*in_dim, *out_dim));
-                        "linear"
                     }
                 };
                 m.name = name.to_string();

@@ -47,10 +47,6 @@ pub enum ParamRole {
     BnRunningMean,
     /// Batch-norm running variance `[c]`.
     BnRunningVar,
-    /// Linear weight `[out_dim, in_dim]`.
-    LinearWeight,
-    /// Linear bias `[out_dim]`.
-    LinearBias,
 }
 
 impl ParamRole {
@@ -63,8 +59,6 @@ impl ParamRole {
             ParamRole::BnBeta => "beta",
             ParamRole::BnRunningMean => "running-mean",
             ParamRole::BnRunningVar => "running-var",
-            ParamRole::LinearWeight => "weight",
-            ParamRole::LinearBias => "bias",
         }
     }
 }
@@ -129,8 +123,6 @@ pub struct PlanOpMeta {
     pub fused: Vec<String>,
     /// Convolution geometry, when the op is a fused conv.
     pub conv: Option<ConvGeom>,
-    /// `(in_dim, out_dim)` when the op is a linear layer.
-    pub linear: Option<(usize, usize)>,
     /// Leaky-relu negative slope, when a leaky activation is involved
     /// (fused into a conv or standalone).
     pub alpha: Option<f32>,
@@ -150,9 +142,7 @@ pub struct PlanOpMeta {
 pub struct SlotMeta {
     /// Flat per-sample length.
     pub len: usize,
-    /// Per-sample shape, batch dim stripped. Reshapes alias slots and
-    /// relabel this in place, so it reflects the *final* labelling; the
-    /// length is the invariant.
+    /// Per-sample shape, batch dim stripped.
     pub shape: Vec<usize>,
 }
 

@@ -86,8 +86,7 @@ impl TrainPlan {
     /// # Errors
     ///
     /// Returns a message naming the offending node when the tape
-    /// contains an op the executor has no backward for (`relu`,
-    /// `sigmoid`, `linear` and anything the lowering rejects), is
+    /// contains an op outside the plans' op set (`crate::plan`), is
     /// missing required attrs, or was not traced at batch 1.
     pub fn compile(g: &Graph, roots: &[VarId]) -> Result<TrainPlan, String> {
         let ir = plan::lower(g, roots, PlanKind::Train)?;
@@ -284,9 +283,6 @@ impl TrainPlan {
                     leaky_forward(&vals[*x][..n * len], *alpha, &mut o);
                     vals[*out] = o;
                 }
-                OpKind::Relu { .. } | OpKind::Sigmoid { .. } | OpKind::Linear { .. } => {
-                    unreachable!("rejected by TrainPlan::compile")
-                }
             }
             if let Some(t0) = t0 {
                 profile::add_sample(&op.path, t0.elapsed().as_nanos() as u64);
@@ -474,9 +470,6 @@ impl TrainStep<'_> {
                     let xv = &self.vals[*x][..self.n * len];
                     leaky_backward(&gout, xv, *alpha, &mut self.grads[*x]);
                     arena::recycle(gout);
-                }
-                OpKind::Relu { .. } | OpKind::Sigmoid { .. } | OpKind::Linear { .. } => {
-                    unreachable!("rejected by TrainPlan::compile")
                 }
             }
             if let Some(t0) = t0 {
@@ -889,27 +882,27 @@ mod tests {
         let err = TrainPlan::compile(&g, &[VarId::from_index(1)]).unwrap_err();
         assert!(err.contains("unsupported op 'softmax'"), "got: {err}");
 
-        // ops InferPlan runs but the compiled backward does not cover
+        // tape ops outside the plans' op set: neither plan lowers them
         let mut ps = ParamSet::new();
         let w = ps.register("w", Tensor::zeros(&[2, 4]));
         let b = ps.register("b", Tensor::zeros(&[2]));
-        for op in ["relu", "sigmoid", "linear"] {
+        for op in ["relu", "sigmoid", "linear", "reshape"] {
             let mut g = Graph::shape_only();
             let x = g.input(Tensor::zeros(&[1, 4]));
             let root = match op {
                 "relu" => g.relu(x),
                 "sigmoid" => g.sigmoid(x),
-                _ => {
+                "linear" => {
                     let (wv, bv) = (g.param(&ps, w), g.param(&ps, b));
                     g.linear(x, wv, bv)
                 }
+                _ => g.reshape(x, &[1, 2, 2]),
             };
-            assert!(crate::InferPlan::compile(&g, &[root]).is_ok(), "{op}");
+            let want = format!("unsupported op '{op}'");
+            let err = crate::InferPlan::compile(&g, &[root]).unwrap_err();
+            assert!(err.contains(&want), "infer: got: {err}");
             let err = TrainPlan::compile(&g, &[root]).unwrap_err();
-            assert!(
-                err.contains(&format!("unsupported op '{op}'")),
-                "got: {err}"
-            );
+            assert!(err.contains(&want), "train: got: {err}");
         }
 
         let mut g = Graph::shape_only();

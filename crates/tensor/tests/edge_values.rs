@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rd_tensor::init::{kaiming_conv, xavier_linear};
+use rd_tensor::init::kaiming_conv;
 use rd_tensor::{Graph, InferPlan, ParamId, ParamSet, Tensor, TrainPlan, VarId};
 
 const EPS: f32 = 1e-5;
@@ -23,8 +23,6 @@ struct Net {
     bn2: [ParamId; 4],
     w3: ParamId,
     b3: ParamId,
-    wl: ParamId,
-    bl: ParamId,
 }
 
 fn net(ps: &mut ParamSet) -> Net {
@@ -56,8 +54,6 @@ fn net(ps: &mut ParamSet) -> Net {
     let bn2 = bn(ps, "bn2");
     let mut rng = StdRng::seed_from_u64(8);
     let b3 = ps.register("b3", Tensor::randn(&mut rng, &[2], 0.5));
-    let wl = ps.register("wl", xavier_linear(&mut rng, 5, 64));
-    let bl = ps.register("bl", Tensor::randn(&mut rng, &[5], 0.5));
     Net {
         w1,
         bn1,
@@ -65,8 +61,6 @@ fn net(ps: &mut ParamSet) -> Net {
         bn2,
         w3,
         b3,
-        wl,
-        bl,
     }
 }
 
@@ -78,22 +72,17 @@ fn conv_bn(g: &mut Graph, ps: &ParamSet, x: VarId, w: ParamId, bn: [ParamId; 4])
     g.batch_norm2d_eval(y, ga, be, ps, bn[2], bn[3], EPS)
 }
 
-/// The net on `x` (`[n, 3, 8, 8]`); returns its roots. `full` adds the
-/// ops only `InferPlan` runs: the fused and standalone relu, the
-/// sigmoid and the linear layer.
+/// The net on `x` (`[n, 3, 8, 8]`); returns its roots.
 ///
-/// - `y1 = conv_bn_leaky(x)`; `y2 = conv_bn_relu(y1)` (`conv_bn` when
-///   not `full`); `a = conv_bias(y1)`;
+/// - `y1 = conv_bn_leaky(x)`; `y2 = conv_bn(y1)`; `a = conv_bias(y1)`;
 /// - `l = leaky(concat(a, upsample(max_pool(y2))))`, a standalone leaky;
 /// - the input itself through a standalone leaky and a padded
-///   stride-1 max-pool (and with `full`, a relu and a sigmoid), so
-///   every special value reaches those kernels unmixed;
-/// - with `full`, `linear(reshape(max_pool(y2)))`.
-fn body(g: &mut Graph, ps: &ParamSet, net: &Net, x: VarId, n: usize, full: bool) -> Vec<VarId> {
+///   stride-1 max-pool, so every special value reaches those kernels
+///   unmixed.
+fn body(g: &mut Graph, ps: &ParamSet, net: &Net, x: VarId) -> Vec<VarId> {
     let y1 = conv_bn(g, ps, x, net.w1, net.bn1);
     let y1 = g.leaky_relu(y1, ALPHA);
     let y2 = conv_bn(g, ps, y1, net.w2, net.bn2);
-    let y2 = if full { g.relu(y2) } else { y2 };
     let (w3, b3) = (g.param(ps, net.w3), g.param(ps, net.b3));
     let a = g.conv2d(y1, w3, Some(b3), 1, 0);
     let p = g.max_pool2d(y2, 2, 2, 0);
@@ -102,30 +91,21 @@ fn body(g: &mut Graph, ps: &ParamSet, net: &Net, x: VarId, n: usize, full: bool)
     let l = g.leaky_relu(cat, ALPHA);
     let lx = g.leaky_relu(x, ALPHA);
     let px = g.max_pool2d(x, 2, 1, 1);
-    let mut roots = vec![l, lx, px];
-    if full {
-        let rx = g.relu(x);
-        let sx = g.sigmoid(x);
-        let f = g.reshape(p, &[n, 64]);
-        let (wl, bl) = (g.param(ps, net.wl), g.param(ps, net.bl));
-        let lin = g.linear(f, wl, bl);
-        roots.extend([rx, sx, lin]);
-    }
-    roots
+    vec![l, lx, px]
 }
 
-fn tape(ps: &ParamSet, net: &Net, x0: &Tensor, full: bool) -> Vec<Tensor> {
+fn tape(ps: &ParamSet, net: &Net, x0: &Tensor) -> Vec<Tensor> {
     let mut g = Graph::new();
     let x = g.input(x0.clone());
-    let roots = body(&mut g, ps, net, x, x0.shape()[0], full);
+    let roots = body(&mut g, ps, net, x);
     roots.iter().map(|&r| g.value(r).clone()).collect()
 }
 
 /// The net traced shape-only at batch 1.
-fn trace(ps: &ParamSet, net: &Net, full: bool) -> (Graph, Vec<VarId>) {
+fn trace(ps: &ParamSet, net: &Net) -> (Graph, Vec<VarId>) {
     let mut g = Graph::shape_only();
     let x = g.input(Tensor::zeros(&[1, IN[0], IN[1], IN[2]]));
-    let roots = body(&mut g, ps, net, x, 1, full);
+    let roots = body(&mut g, ps, net, x);
     (g, roots)
 }
 
@@ -172,7 +152,7 @@ fn edge_values_match_the_tape_bitwise_in_both_plans() {
     let net = net(&mut ps);
     let x0 = edge_input();
 
-    let want = tape(&ps, &net, &x0, true);
+    let want = tape(&ps, &net, &x0);
     // the special values really reach the outputs
     let all: Vec<f32> = want.iter().flat_map(|t| t.data().to_vec()).collect();
     assert!(all.iter().any(|v| v.is_nan()), "no NaN reached an output");
@@ -195,20 +175,17 @@ fn edge_values_match_the_tape_bitwise_in_both_plans() {
         "the finite sample's deep path is not finite and nonzero"
     );
 
-    let (g, roots) = trace(&ps, &net, true);
+    let (g, roots) = trace(&ps, &net);
     let plan = InferPlan::compile(&g, &roots).expect("edge net compiles for inference");
     let kinds: Vec<String> = plan.meta().ops.into_iter().map(|o| o.name).collect();
     for kind in [
         "conv_bn_leaky",
-        "conv_bn_relu",
+        "conv_bn",
         "conv_bias",
         "max_pool2d",
         "upsample_nearest2x",
         "concat_channels",
         "leaky_relu",
-        "relu",
-        "sigmoid",
-        "linear",
     ] {
         assert!(kinds.iter().any(|k| k == kind), "no {kind} op in {kinds:?}");
     }
@@ -218,8 +195,6 @@ fn edge_values_match_the_tape_bitwise_in_both_plans() {
         assert_bits_eq(got, want, &format!("InferPlan root {ri}"));
     }
 
-    let want = tape(&ps, &net, &x0, false);
-    let (g, roots) = trace(&ps, &net, false);
     let plan = TrainPlan::compile(&g, &roots).expect("edge net compiles for training");
     for need_param_grads in [false, true] {
         let step = plan.forward(&ps, &x0, need_param_grads);

@@ -45,12 +45,6 @@ impl PatchPlacement {
         self
     }
 
-    /// Sets the perspective tilt (builder style).
-    pub fn with_perspective(mut self, px: f32, py: f32) -> Self {
-        self.perspective = (px, py);
-        self
-    }
-
     /// The forward homography mapping patch coordinates to image
     /// coordinates.
     pub fn homography(&self, patch_size: usize) -> Mat3 {
